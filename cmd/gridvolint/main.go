@@ -18,7 +18,8 @@
 // cost as the module grows. Exit status: 0 when the tree is clean, 1
 // when there are findings, 2 when loading or type-checking failed.
 // Intentional exceptions are suppressed in the source with
-// "//gridvolint:ignore <check> <reason>".
+// "//gridvolint:ignore <check> <reason>"; without -checks, a directive
+// that suppresses nothing is itself a finding.
 package main
 
 import (

@@ -163,10 +163,11 @@ func (p *Pass) IsModuleCall(call *ast.CallExpr) bool {
 // ignoreDirective is one parsed //gridvolint:ignore comment.
 type ignoreDirective struct {
 	check string
-	file  string
-	// fromLine/toLine is the suppressed range: the comment's own line and
-	// the line below, widened to a whole declaration when the directive
-	// appears in that declaration's doc comment.
+	pos   token.Position // the comment itself
+	// fromLine/toLine is the suppressed range in pos.Filename: the
+	// comment's own line and the line below, widened to a whole
+	// declaration when the directive appears in that declaration's doc
+	// comment.
 	fromLine, toLine int
 }
 
@@ -216,7 +217,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File, report func(pos token.Pos
 				continue
 			}
 			pos := fset.Position(c.Pos())
-			dir := ignoreDirective{check: fields[0], file: pos.Filename, fromLine: pos.Line, toLine: pos.Line + 1}
+			dir := ignoreDirective{check: fields[0], pos: pos, fromLine: pos.Line, toLine: pos.Line + 1}
 			for _, dr := range decls {
 				if dr.doc.Pos() <= c.Pos() && c.Pos() <= dr.doc.End() {
 					dir.fromLine, dir.toLine = dr.from, dr.to
@@ -290,8 +291,12 @@ func Suppressions(fset *token.FileSet, pkgs []*Package) ([]Suppression, []Diagno
 // the packages and returns surviving diagnostics sorted by file, line,
 // column, and check name. Suppression directives are applied here, and
 // malformed directives surface as diagnostics of the pseudo-check
-// "ignore".
+// "ignore". When every check runs, so do stale directives: one that
+// suppressed no diagnostic guards nothing and should be deleted. A
+// subset run cannot tell a stale directive from one whose check was not
+// selected, so it never reports them.
 func RunChecks(fset *token.FileSet, modulePath string, pkgs []*Package, checks []*Check) []Diagnostic {
+	reportStale := checks == nil
 	if checks == nil {
 		checks = All
 	}
@@ -316,13 +321,13 @@ func RunChecks(fset *token.FileSet, modulePath string, pkgs []*Package, checks [
 		}
 	}
 
+	used := make([]bool, len(ignores))
 	kept := diags[:0]
 	for _, d := range diags {
 		suppressed := false
-		for _, ig := range ignores {
-			if ig.check == d.Check && ig.file == d.File && ig.fromLine <= d.Line && d.Line <= ig.toLine {
-				suppressed = true
-				break
+		for i, ig := range ignores {
+			if ig.check == d.Check && ig.pos.Filename == d.File && ig.fromLine <= d.Line && d.Line <= ig.toLine {
+				suppressed, used[i] = true, true
 			}
 		}
 		if !suppressed {
@@ -330,6 +335,14 @@ func RunChecks(fset *token.FileSet, modulePath string, pkgs []*Package, checks [
 		}
 	}
 	diags = kept
+	if reportStale {
+		for i, ig := range ignores {
+			if !used[i] {
+				diags = append(diags, Diagnostic{File: ig.pos.Filename, Line: ig.pos.Line, Col: ig.pos.Column, Check: "ignore",
+					Message: fmt.Sprintf("stale suppression: no %s finding here to suppress; delete the directive", ig.check)})
+			}
+		}
+	}
 
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

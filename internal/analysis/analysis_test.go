@@ -90,8 +90,15 @@ func expectations(t *testing.T, pkg *Package) map[string][]string {
 // produced and nothing else is.
 func golden(t *testing.T, check *Check, rel string) {
 	t.Helper()
+	goldenChecks(t, []*Check{check}, rel)
+}
+
+// goldenChecks is golden for a list of checks; nil runs every check,
+// which is the one mode that reports stale suppressions.
+func goldenChecks(t *testing.T, checks []*Check, rel string) {
+	t.Helper()
 	pkg := loadTestPkg(t, rel)
-	diags := RunChecks(testLoader(t).Fset, pkg.Path, []*Package{pkg}, []*Check{check})
+	diags := RunChecks(testLoader(t).Fset, pkg.Path, []*Package{pkg}, checks)
 	want := expectations(t, pkg)
 
 	for _, d := range diags {
@@ -173,9 +180,10 @@ func TestRandsourceXrandExempt(t *testing.T) {
 
 // TestSuppression exercises the //gridvolint:ignore machinery: inline
 // and declaration-scope suppression, malformed directives surfacing as
-// diagnostics, wrong-check and out-of-range directives not suppressing.
+// diagnostics, wrong-check and out-of-range directives not suppressing
+// and, since every check runs, being reported as stale.
 func TestSuppression(t *testing.T) {
-	golden(t, Floatcmp, "src/suppress")
+	goldenChecks(t, nil, "src/suppress")
 }
 
 // TestSuppressionDeclScopeEdges pins the decl-scope corner cases:
@@ -185,7 +193,35 @@ func TestSuppression(t *testing.T) {
 // grouped declaration is covered as a unit, and plain line scope still
 // stops after one line.
 func TestSuppressionDeclScopeEdges(t *testing.T) {
-	golden(t, Floatcmp, "src/suppress_edge")
+	goldenChecks(t, nil, "src/suppress_edge")
+}
+
+// TestStaleSuppressionSubsetRun: a subset run cannot tell a stale
+// directive from one whose check was left out, so over the suppression
+// testdata it must report exactly the full run's findings minus the
+// stale ones, even though the checks those directives name (floatcmp,
+// maporder) are in the subset.
+func TestStaleSuppressionSubsetRun(t *testing.T) {
+	for _, rel := range []string{"src/suppress", "src/suppress_edge"} {
+		pkg := loadTestPkg(t, rel)
+		fset := testLoader(t).Fset
+		var want []Diagnostic
+		stale := 0
+		for _, d := range RunChecks(fset, pkg.Path, []*Package{pkg}, nil) {
+			if d.Check == "ignore" && strings.HasPrefix(d.Message, "stale suppression") {
+				stale++
+				continue
+			}
+			want = append(want, d)
+		}
+		if stale == 0 {
+			t.Fatalf("%s: full run reported no stale suppression to leave out", rel)
+		}
+		got := RunChecks(fset, pkg.Path, []*Package{pkg}, []*Check{Floatcmp, Maporder})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: subset run\n%v\nwant the full run without stale findings\n%v", rel, got, want)
+		}
+	}
 }
 
 // TestRegressionCorpus pins the crasher-style corpus: minimal

@@ -44,7 +44,9 @@
 // A directive suppresses its check on its own line and the line below;
 // placed in a declaration's doc comment it covers the whole declaration.
 // The reason is mandatory and malformed directives are diagnostics
-// themselves, so every suppression stays auditable.
+// themselves, so every suppression stays auditable. When every check
+// runs, a directive that suppressed nothing is reported as stale, so
+// suppressions cannot outlive the code they excused.
 //
 // Diagnostics print as "file:line:col  [check]  message"; the
 // cmd/gridvolint driver adds -json output and exits non-zero on any

@@ -35,16 +35,18 @@ func missingReason(a, b float64) bool {
 	return a == b // want "exact floating-point == comparison"
 }
 
-// wrongCheck suppresses a different check than the one that fires.
+// wrongCheck suppresses a different check than the one that fires, so
+// its directive is stale as well.
 func wrongCheck(a, b float64) bool {
 	//gridvolint:ignore maporder golden-test exception: wrong check on purpose
-	return a == b // want "exact floating-point == comparison"
+	return a == b // want "exact floating-point == comparison" // want-above "stale suppression: no maporder finding"
 }
 
-// outOfRange sits too far above the finding to cover it.
+// outOfRange sits too far above the finding to cover it, so its
+// directive is stale as well.
 func outOfRange(a, b float64) bool {
 	//gridvolint:ignore floatcmp golden-test exception: two lines up, covers nothing
-	_ = a
+	_ = a         // want-above "stale suppression: no floatcmp finding"
 	return a == b // want "exact floating-point == comparison"
 }
 

@@ -17,10 +17,11 @@ func nestedCovered(a, b float64) bool {
 }
 
 // A directive on the receiver's type declaration does NOT leak into the
-// type's methods: each declaration carries its own scope.
+// type's methods: each declaration carries its own scope. Covering no
+// finding of its own, the directive is stale.
 //
 //gridvolint:ignore floatcmp testdata exercise: type decl scope must not reach into methods
-type pair struct{ x, y float64 }
+type pair struct{ x, y float64 } // want-above "stale suppression: no floatcmp finding"
 
 func (p pair) equal() bool {
 	return p.x == p.y // want "exact floating-point"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"gridvo/internal/fault"
@@ -43,9 +42,6 @@ type Options struct {
 	// for the pruning-identity property tests and for callers that want
 	// the raw search on hand-built symmetric instances.
 	DisableTwinPruning bool
-	// RootBound selects the root lower-bound policy (Σ-min by default;
-	// RootBoundLP opts into the LP relaxation — see the RootBound type).
-	RootBound RootBound
 	// AssignBuf, when non-nil, becomes the backing array for
 	// Solution.Assign (grown when its capacity is short) — the
 	// zero-allocation steady-state mode for callers that solve in a loop.
@@ -115,8 +111,7 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 	}
 	start := time.Now()
 	k, n := in.NumGSPs(), in.NumTasks()
-	//gridvolint:ignore allocguard LP root bound is opt-in policy and sized-gated; the default Σ-min bound path allocates nothing (runtime-pinned by TestSolveSteadyStateZeroAllocs)
-	sol := Solution{LowerBound: rootLowerBound(in, opts.RootBound)}
+	sol := Solution{LowerBound: lowerBoundTotal(in)}
 
 	// Degenerate shapes.
 	if k == 0 {
@@ -145,26 +140,17 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 		budget = DefaultNodeBudget
 	}
 
-	s := newSearcher(ctx, in, opts, budget, -1)
+	s := newSearcher(ctx, in, opts, budget)
 	s.cancelAfter = cancelAfter
 
 	// Seed incumbents.
 	seedIncumbents(in, opts, s)
 
-	switch {
-	case ctx.Err() != nil:
+	if ctx.Err() != nil {
 		// Already cancelled: return the heuristic incumbent immediately.
 		s.ctxAborted, s.aborted = true, true
 		s.prunedDeadline++
-	case opts.RootBound != RootBoundSum && s.haveBest &&
-		TotalCost(in, s.bestAssign) <= sol.LowerBound+Eps:
-		// A strengthened root bound already proves the heuristic
-		// incumbent optimal: skip the tree search entirely. (Guarded to
-		// the opt-in bound policies so the default path's node counts
-		// and trajectories stay exactly as recorded by the benchmarks —
-		// under Σ-min the post-search LowerBound check below recovers
-		// the same Optimal verdict.)
-	default:
+	} else {
 		s.prepare()
 		s.dfs(0, 0)
 	}
@@ -195,13 +181,12 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Solution {
 	return sol
 }
 
-// newSearcher builds the DFS state shared by the serial and root-split
-// solvers, drawing the searcher struct and its scratch buffers from the
-// package pools. rootOnly restricts the first branching task (-1 = full
-// search). Every searcher must be released exactly once.
+// newSearcher builds the DFS state for one solve, drawing the searcher
+// struct and its scratch buffers from the package pools. Every searcher
+// must be released exactly once.
 //
 //gridvolint:zeroalloc
-func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64, rootOnly int) *searcher {
+func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64) *searcher {
 	checkEvery := opts.CtxCheckEvery
 	if checkEvery <= 0 {
 		checkEvery = DefaultCtxCheckEvery
@@ -216,7 +201,6 @@ func newSearcher(ctx context.Context, in *Instance, opts Options, budget int64, 
 		bestCost:     math.Inf(1),
 		cap:          in.budgetCap(),
 		deadline:     in.Deadline,
-		rootOnly:     rootOnly,
 		disableTwin:  opts.DisableTwinPruning,
 		ctx:          ctx,
 		checkEvery:   checkEvery,
@@ -312,13 +296,6 @@ type searcher struct {
 	nodes      int64
 	aborted    bool
 
-	// shared, when non-nil, is the work-stealing pool's atomic
-	// best-incumbent bound (float bits): the search adopts it for pruning
-	// whenever it is tighter than the local incumbent and publishes every
-	// local improvement back. bestCost may therefore dip below the cost
-	// of bestAssign; merges compare canonical TotalCost, never bestCost.
-	shared *atomic.Uint64
-
 	// Context plumbing: ctx is polled every checkEvery nodes via a
 	// countdown so the hot loop stays divisor-free.
 	ctx          context.Context
@@ -342,29 +319,23 @@ type searcher struct {
 	// scratch is the pooled buffer set backing the slices above; release()
 	// returns it once the solve no longer references them.
 	scratch *searchScratch
-
-	// rootOnly, when >= 0, restricts the first branching task to that
-	// GSP — SolveParallel's disjoint root split. Constructors must set
-	// it explicitly (-1 for a full search): the int zero value would
-	// silently mean "GSP 0 only".
-	rootOnly int
 }
 
-// fill copies the searcher's counters into a solution's diagnostics.
+// fill sets a solution's diagnostics from the searcher's counters.
 //
 //gridvolint:zeroalloc
 func (s *searcher) fill(sol *Solution) {
-	sol.Nodes += s.nodes
-	sol.NodeBudgetHit = sol.NodeBudgetHit || (s.aborted && !s.ctxAborted)
-	sol.Stats.Nodes += s.nodes
-	sol.Stats.PrunedByBound += s.prunedBound
-	sol.Stats.PrunedByDeadline += s.prunedDeadline
-	sol.Stats.PrunedByBudget += s.prunedBudget
-	sol.Stats.PrunedBySymmetry += s.prunedSymmetry
-	sol.Stats.PrunedByDominance += s.prunedDominance
-	sol.Stats.IncumbentUpdates += s.incumbents
-	sol.Stats.SeedAccepted += s.seedAccepted
-	sol.Stats.SeedWins += s.seedWins
+	sol.Nodes = s.nodes
+	sol.NodeBudgetHit = s.aborted && !s.ctxAborted
+	sol.Stats.Nodes = s.nodes
+	sol.Stats.PrunedByBound = s.prunedBound
+	sol.Stats.PrunedByDeadline = s.prunedDeadline
+	sol.Stats.PrunedByBudget = s.prunedBudget
+	sol.Stats.PrunedBySymmetry = s.prunedSymmetry
+	sol.Stats.PrunedByDominance = s.prunedDominance
+	sol.Stats.IncumbentUpdates = s.incumbents
+	sol.Stats.SeedAccepted = s.seedAccepted
+	sol.Stats.SeedWins = s.seedWins
 }
 
 //gridvolint:zeroalloc
@@ -510,11 +481,6 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 			return
 		}
 	}
-	if s.shared != nil {
-		if sb := math.Float64frombits(s.shared.Load()); sb < s.bestCost {
-			s.bestCost = sb
-		}
-	}
 	if pos == s.n {
 		if s.uncovered == 0 && costSoFar < s.bestCost && costSoFar <= s.cap+Eps {
 			s.bestCost = costSoFar
@@ -523,9 +489,6 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 			}
 			s.haveBest = true
 			s.incumbents++
-			if s.shared != nil {
-				casMinFloat(s.shared, s.bestCost)
-			}
 		}
 		return
 	}
@@ -556,9 +519,6 @@ func (s *searcher) dfs(pos int, costSoFar float64) {
 	tw := s.twins
 	bc := s.bestCost - Eps
 	for r, g := range gs {
-		if pos == 0 && s.rootOnly >= 0 && g != s.rootOnly {
-			continue
-		}
 		if mustCover && st[g].count > 0 {
 			continue
 		}

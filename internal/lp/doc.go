@@ -2,8 +2,7 @@
 // linear programs. It is the optimization substrate behind the
 // coalitional-game analytics: deciding core non-emptiness (and exhibiting
 // a core imputation) is a linear program with one constraint per
-// coalition, and the assignment solver's tests use LP relaxations of small
-// integer programs as independent lower-bound oracles.
+// coalition.
 //
 // The solver handles problems of the form
 //

@@ -92,19 +92,6 @@ func TestGlobalFormatEquivalenceWarmStart(t *testing.T) {
 	}
 }
 
-func TestDistributedFormatEquivalence(t *testing.T) {
-	gd, gc := formatPair(7, 12, 0.25)
-	xd, dd, errD := DistributedGlobal(gd, DefaultOptions())
-	xc, dc, errC := DistributedGlobal(gc, DefaultOptions())
-	if errD != nil || errC != nil {
-		t.Fatalf("distributed solves errored: %v %v", errD, errC)
-	}
-	assertBitsEqual(t, "distributed scores", xd, xc)
-	if dd.Iterations != dc.Iterations {
-		t.Fatalf("distributed iterations %d vs %d", dd.Iterations, dc.Iterations)
-	}
-}
-
 func TestCentralityFormatEquivalence(t *testing.T) {
 	for _, c := range []Centrality{
 		CentralityPower, CentralityInDegree, CentralityOutDegree,
