@@ -185,7 +185,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		lgTasks   = fs.Int("tasks", 48, "loadgen tasks per generated scenario")
 		lgLanes   = fs.Int("lanes", 96, "loadgen concurrent client lanes")
 		lgWorkers = fs.Int("workers", 8, "loadgen job-tier worker-pool size")
-		lgFlight  = fs.Int("inflight", 8, "loadgen synchronous-path concurrency limit")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -258,10 +257,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			GSPs:      *lgGSPs,
 			Tasks:     *lgTasks,
 			Seed:      *seed,
-			Server: server.Config{
-				MaxInFlight: *lgFlight,
-				JobWorkers:  *lgWorkers,
-			},
+			Server:    server.Config{JobWorkers: *lgWorkers},
 		}, stdout)
 	}
 

@@ -54,11 +54,11 @@ func main() {
 		timeout    = fs.Duration("timeout", 5*time.Second, "default per-request solve budget (0 = none beyond -max-timeout)")
 		maxTimeout = fs.Duration("max-timeout", 60*time.Second, "hard cap on any per-request solve budget")
 		maxBody    = fs.Int64("max-body", 8<<20, "maximum request body bytes (413 beyond)")
-		inflight   = fs.Int("inflight", 0, "maximum concurrent synchronous solve requests (0 = 2x GOMAXPROCS)")
+		inflight   = fs.Int("inflight", 0, "maximum concurrent /v1/reputation, /v1/trust/delta and /v1/assign requests (0 = 2x GOMAXPROCS)")
 		engines    = fs.Int("engines", 64, "scenario solve-engine LRU size")
 		shards     = fs.Int("shards", 0, "engine-LRU shard count, rounded to a power of two (0 = smallest power of two >= GOMAXPROCS)")
-		queue      = fs.Int("queue", 0, "async job queue depth; full queue sheds submits with 429 (0 = 256)")
-		workers    = fs.Int("workers", 0, "async job worker-pool size (0 = GOMAXPROCS)")
+		queue      = fs.Int("queue", 0, "formation job queue depth (sync /v1/vo/form and /v1/jobs); full queue sheds with 429 (0 = 256)")
+		workers    = fs.Int("workers", 0, "formation worker-pool size, sync and async (0 = GOMAXPROCS)")
 		jobTTL     = fs.Duration("job-ttl", 0, "how long finished jobs stay pollable before GC (0 = 5m)")
 		maxWait    = fs.Duration("max-wait", 0, "cap on GET /v1/jobs/{id}?wait= long-poll budgets (0 = 30s)")
 		nodeCap    = fs.Int64("nodes", 0, "branch-and-bound node budget per IP solve (0 = default)")

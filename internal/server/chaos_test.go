@@ -6,26 +6,28 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"gridvo/internal/assign"
 	"gridvo/internal/fault"
 	"gridvo/internal/mechanism"
 )
 
-// TestSaturatedServerSheds429 proves the load-shedding path: with every
-// solve slot occupied, a solve request is rejected immediately with 429 and
-// a Retry-After header instead of queueing; exempt routes keep working; a
-// freed slot restores service.
+// TestSaturatedServerSheds429 proves the load-shedding path of the routes
+// that solve in the handler: with every solve slot occupied, a request is
+// rejected immediately with 429 and a Retry-After header instead of
+// queueing; exempt routes keep working; a freed slot restores service.
 func TestSaturatedServerSheds429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1})
-	spec := mechanism.SampleSpec(1)
-	req := FormRequest{Scenario: *spec, Seed: 1}
+	req := AssignRequest{
+		Cost:     [][]float64{{1, 10}, {10, 1}},
+		Time:     [][]float64{{1, 1}, {1, 1}},
+		Deadline: 10,
+	}
 
 	s.sem <- struct{}{} // occupy the only solve slot
 
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/vo/form", "application/json", strings.NewReader(string(body)))
+	resp, err := http.Post(ts.URL+"/v1/assign", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestSaturatedServerSheds429(t *testing.T) {
 	}
 
 	<-s.sem // free the slot; service resumes
-	if code, data := postJSON(t, ts.URL+"/v1/vo/form", req); code != http.StatusOK {
+	if code, data := postJSON(t, ts.URL+"/v1/assign", req); code != http.StatusOK {
 		t.Fatalf("after drain: want 200, got %d: %s", code, data)
 	}
 }
@@ -97,60 +99,6 @@ func TestInjectedCancelDegradesNot500(t *testing.T) {
 	st := inj.Stats()
 	if st.Fired == 0 || st.PerClass[fault.Cancel] == 0 {
 		t.Fatalf("injector never fired: %v", st)
-	}
-}
-
-// TestBoundedRetryCounts proves the retry loop is bounded: with faults
-// firing on every solve, the handler retries exactly MaxRetries times, the
-// reply still reports degraded, and the metrics count the retries.
-func TestBoundedRetryCounts(t *testing.T) {
-	inj := fault.New(fault.Config{Seed: 3, Rate: 1, Classes: []fault.Class{fault.Cancel}, CancelNodes: 1})
-	s, ts := newTestServer(t, Config{
-		Inject:       inj,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-	})
-	spec := mechanism.SampleSpec(1)
-
-	code, data := postJSON(t, ts.URL+"/v1/vo/form", FormRequest{Scenario: *spec, Seed: 1})
-	if code != http.StatusOK {
-		t.Fatalf("want 200, got %d: %s", code, data)
-	}
-	var resp FormResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Retries != 2 {
-		t.Fatalf("want exactly 2 bounded retries, got %d", resp.Retries)
-	}
-	if !resp.Degraded {
-		t.Fatalf("persistent faults should leave the final reply degraded: %+v", resp)
-	}
-	var snap MetricsSnapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	if snap.RetriesTotal != 2 {
-		t.Fatalf("retries_total = %d, want 2", snap.RetriesTotal)
-	}
-	_ = s
-}
-
-// TestRetryRecoversCleanRun: with injection disabled mid-flight semantics
-// aside, a fault-free server performs zero retries and reports a clean run.
-func TestNoFaultsMeansNoRetries(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxRetries: 3, RetryBackoff: time.Millisecond})
-	spec := mechanism.SampleSpec(1)
-	code, data := postJSON(t, ts.URL+"/v1/vo/form", FormRequest{Scenario: *spec, Seed: 1})
-	if code != http.StatusOK {
-		t.Fatalf("want 200, got %d: %s", code, data)
-	}
-	var resp FormResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded || resp.Retries != 0 {
-		t.Fatalf("clean run flagged degraded or retried: %+v", resp)
 	}
 }
 

@@ -21,9 +21,11 @@
 // solves to heuristic incumbents and the reply is 504 with partial=true);
 // scenarios are mapped to mechanism.Engine instances through a bounded
 // LRU keyed by content hash, so repeated identical requests turn NP-hard
-// coalition solves into cache hits; a semaphore bounds in-flight solve
-// requests; request bodies are size-limited (413); and Serve drains
-// in-flight requests on shutdown.
+// coalition solves into cache hits; every formation, sync or async, is
+// admitted through one bounded job queue that coalesces identical
+// requests; a semaphore bounds the other in-flight solve requests;
+// request bodies are size-limited (413); and Serve drains in-flight
+// requests on shutdown.
 //
 // The package is stdlib-only (net/http + encoding/json), matching the
 // repo's no-dependency constraint.

@@ -248,11 +248,7 @@ type FormResponse struct {
 	// alone (e.g. under injected faults, with 200 status) means the
 	// request budget was NOT the cause.
 	Degraded bool `json:"degraded"`
-	// Retries counts bounded retries performed for injected transient
-	// faults before this reply.
-	Retries int `json:"retries,omitempty"`
-	// Engine reports this run's fresh solves vs cache hits (summed over
-	// retries, when any).
+	// Engine reports this run's fresh solves vs cache hits.
 	Engine     EngineStatsJSON `json:"engine"`
 	DurationMS float64         `json:"duration_ms"`
 }
@@ -341,9 +337,10 @@ type JobStatusResponse struct {
 
 // JobsSnapshot is the async tier's block in GET /metrics.
 type JobsSnapshot struct {
-	// Queued / Deduped / Requeued count lifetime submissions enqueued,
-	// coalesced onto an in-flight duplicate, and re-enqueued because a
-	// leader's result was fault-touched (unshareable).
+	// Queued / Deduped / Requeued count lifetime formations (sync
+	// /v1/vo/form requests and /v1/jobs submissions) enqueued, coalesced
+	// onto an in-flight duplicate, and re-enqueued because a leader's
+	// result was fault-touched (unshareable).
 	Queued   int64 `json:"jobs_queued"`
 	Deduped  int64 `json:"jobs_deduped"`
 	Requeued int64 `json:"jobs_requeued"`

@@ -38,10 +38,8 @@ func (s *Server) handleReputation(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// buildFormRequest validates a form request and builds its scenario —
-// the shared front half of the sync /v1/vo/form path and the async job
-// submit path (so a job's bad request fails fast with 400 at submit,
-// never inside a worker).
+// buildFormRequest validates a form request and builds its scenario, so a
+// bad formation fails fast with 400 at admission, never inside a worker.
 func buildFormRequest(req *FormRequest) (*mechanism.Scenario, gridvo.Rule, error) {
 	var rule gridvo.Rule
 	switch req.Rule {
@@ -77,60 +75,23 @@ func (s *Server) engineFor(sc *mechanism.Scenario) (*mechanism.Scenario, *mechan
 	return sc, eng, key
 }
 
-// formRun is one completed VO-formation solve: the wire response plus the
-// facts the caller needs that the response doesn't carry verbatim.
-type formRun struct {
-	resp FormResponse
-	// faults counts injected faults that fired during the final attempt —
-	// the job tier's "never share a fault-touched result" signal.
-	faults int64
-	// partial reports deadline expiry (the sync path's 504 signal).
-	partial bool
-}
-
-// solveForm runs one VO formation (Algorithm 1) to completion under ctx —
-// the shared back half of the sync handler and the async job worker, so
-// both paths produce bitwise-identical responses for identical requests.
-func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gridvo.Rule, req *FormRequest) (*formRun, error) {
+// solveForm runs one VO formation (Algorithm 1) on the job's engine to
+// completion under ctx. It also reports how many injected faults fired —
+// the job tier's "never share a fault-touched result" signal.
+func (s *Server) solveForm(ctx context.Context, j *job) (*FormResponse, int64, error) {
 	start := time.Now()
-	_, eng, _ := s.engineFor(sc)
-
-	// Bounded retry with backoff: a run degraded by *injected* transient
-	// faults (res.Faults > 0) is retried against the now-warmer engine
-	// cache while the request deadline allows. Runs degraded only by the
-	// deadline itself are never retried — that budget is already spent.
-	var res *gridvo.Result
-	var stats mechanism.EngineStats
-	var err error
-	retries := 0
-	for attempt := 0; ; attempt++ {
-		res, err = gridvo.FormVOEngine(ctx, eng, rule, req.Seed)
-		if err != nil {
-			return nil, err
-		}
-		stats = stats.Add(res.Stats)
-		if !res.Degraded || res.Faults == 0 || attempt >= s.cfg.MaxRetries || ctx.Err() != nil {
-			break
-		}
-		retries++
-		s.metrics.retried()
-		select {
-		case <-time.After(s.cfg.RetryBackoff << uint(attempt)):
-		case <-ctx.Done():
-		}
+	res, err := gridvo.FormVOEngine(ctx, j.eng, j.rule, j.req.Seed)
+	if err != nil {
+		return nil, 0, err
 	}
-	s.metrics.addEngine(stats)
+	s.metrics.addEngine(res.Stats)
 
-	partial := ctx.Err() != nil
-	run := &formRun{faults: res.Faults, partial: partial}
-	resp := &run.resp
-	*resp = FormResponse{
+	resp := &FormResponse{
 		Rule:             res.Rule.String(),
 		GlobalReputation: res.GlobalReputation,
-		Partial:          partial,
+		Partial:          ctx.Err() != nil,
 		Degraded:         res.Degraded,
-		Retries:          retries,
-		Engine:           engineStatsJSON(stats),
+		Engine:           engineStatsJSON(res.Stats),
 		DurationMS:       float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if final := res.Final(); final != nil {
@@ -138,7 +99,7 @@ func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gri
 		resp.Members = final.Members
 		resp.MemberNames = make([]string, len(final.Members))
 		for i, g := range final.Members {
-			resp.MemberNames[i] = sc.GSPs[g].Name
+			resp.MemberNames[i] = j.sc.GSPs[g].Name
 		}
 		resp.Payoff = final.Payoff
 		resp.Value = final.Value
@@ -146,12 +107,12 @@ func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gri
 		resp.AvgReputation = final.AvgReputation
 		if final.Assignment != nil {
 			resp.Assignment = make([]int, len(final.Assignment))
-			for j, local := range final.Assignment {
-				resp.Assignment[j] = final.Members[local]
+			for i, local := range final.Assignment {
+				resp.Assignment[i] = final.Members[local]
 			}
 		}
 	}
-	if req.IncludeIterations {
+	if j.req.IncludeIterations {
 		resp.Iterations = make([]FormIteration, len(res.Iterations))
 		for i := range res.Iterations {
 			rec := &res.Iterations[i]
@@ -165,35 +126,34 @@ func (s *Server) solveForm(ctx context.Context, sc *mechanism.Scenario, rule gri
 			}
 		}
 	}
-	return run, nil
+	return resp, res.Faults, nil
 }
 
 // handleForm runs one VO formation (Algorithm 1) on a scenario,
-// synchronously.
+// synchronously: it submits the request to the job FSM as an unpollable
+// job and waits for its terminal state. A client that disconnects stops
+// the wait, not the solve: the job stays bounded by its budget and may
+// still serve coalesced followers.
 func (s *Server) handleForm(w http.ResponseWriter, r *http.Request) {
-	var req FormRequest
-	if !s.decodeJSON(w, r, &req) {
+	j := s.submitForm(w, r, false)
+	if j == nil {
 		return
 	}
-	sc, rule, err := buildFormRequest(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
 		return
 	}
-	ctx, cancel := s.solveContext(r, req.TimeoutMS)
-	defer cancel()
-	run, err := s.solveForm(ctx, sc, rule, &req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	status := http.StatusOK
-	if run.partial {
+	switch {
+	case j.errMsg != "":
+		writeError(w, http.StatusInternalServerError, j.errMsg)
+	case j.result.Partial:
 		// The budget expired mid-run: the reply still carries the best
 		// incumbents found, but flags them as not proven optimal.
-		status = http.StatusGatewayTimeout
+		writeJSON(w, http.StatusGatewayTimeout, j.result)
+	default:
+		writeJSON(w, http.StatusOK, j.result)
 	}
-	writeJSON(w, status, run.resp)
 }
 
 // handleAssign solves one coalition assignment IP (eqs. 9-14) directly.
@@ -210,7 +170,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if req.NodeBudget > 0 {
 		opts.NodeBudget = req.NodeBudget
 	}
-	ctx, cancel := s.solveContext(r, req.TimeoutMS)
+	ctx, cancel := withBudget(r.Context(), s.budget(req.TimeoutMS))
 	defer cancel()
 	start := time.Now()
 	sol := assign.SolveCtx(ctx, req.Instance(), opts)

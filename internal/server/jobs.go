@@ -15,7 +15,9 @@ import (
 	"gridvo/internal/mechanism"
 )
 
-// JobState is one state of the job FSM. Transitions:
+// JobState is one state of the job FSM every VO formation runs through —
+// a sync /v1/vo/form request as well as a /v1/jobs submission.
+// Transitions:
 //
 //	submit ──► queued ──► running ──► done
 //	              │           ├─────► degraded   (result below the exact tier)
@@ -25,7 +27,8 @@ import (
 // A coalesced (deduped) submission stays queued, attached to the leader's
 // in-flight solve, and jumps straight to the leader's terminal state when
 // the shared result is clean. If the leader's run was fault-touched or
-// failed, followers are re-enqueued (never shared) — see finish.
+// failed, followers are re-enqueued (never shared) — see finish. That is
+// the server's one retry rule.
 type JobState string
 
 const (
@@ -41,11 +44,13 @@ func (st JobState) terminal() bool {
 	return st == JobDone || st == JobFailed || st == JobDegraded
 }
 
-// job is one asynchronous VO-formation request tracked by the manager.
+// job is one VO-formation request tracked by the manager. A sync
+// request's job has no id: it is never registered for polling.
 type job struct {
 	id   string
 	key  uint64 // dedupe key: scenario content hash ⊕ rule ⊕ seed ⊕ budget
 	sc   *mechanism.Scenario
+	eng  *mechanism.Engine
 	rule gridvo.Rule
 	req  FormRequest
 
@@ -68,7 +73,7 @@ var (
 	errJobsClosed = errors.New("job tier is draining")
 )
 
-// jobManager owns the async tier's state: the bounded queue the worker
+// jobManager owns the formation tier's state: the bounded queue the worker
 // pool drains, the job registry polled by GET /v1/jobs/{id}, and the
 // in-flight index that coalesces identical submissions (singleflight on
 // the scenario content hash). All mutable state sits behind one mutex —
@@ -82,7 +87,7 @@ type jobManager struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	inflight map[uint64]*job // dedupe key -> leader job in queued|running
-	order    []*job          // terminal jobs in completion order (TTL GC)
+	order    []*job          // terminal registered jobs in completion order (TTL GC)
 	seq      int64
 	closed   bool
 
@@ -126,46 +131,40 @@ func jobKey(scKey uint64, rule gridvo.Rule, req *FormRequest) uint64 {
 	return h.Sum64()
 }
 
-// submit registers a new job. When an identical job (same dedupe key) is
-// already queued or running, the new job attaches to it as a follower —
-// no queue slot consumed, one underlying solve — and reports deduped.
-// Otherwise the job is enqueued; a full queue rejects with errQueueFull
-// (the job-tier analogue of the sync path's 429 shedding).
-func (m *jobManager) submit(now time.Time, key uint64, sc *mechanism.Scenario, rule gridvo.Rule, req FormRequest) (*job, error) {
+// submit admits a job built with its key, scenario, engine, rule and
+// request. When an identical job (same dedupe key) is already queued or
+// running, the new job attaches to it as a follower — no queue slot
+// consumed, one underlying solve — and is marked deduped. Otherwise the
+// job is enqueued; a full queue rejects it with errQueueFull. A pollable
+// job gets an id and stays in the registry until its TTL expires; a sync
+// request's job does neither.
+func (m *jobManager) submit(now time.Time, j *job, pollable bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, errJobsClosed
+		return errJobsClosed
 	}
 	m.gcLocked(now)
-	m.seq++
-	j := &job{
-		id:      fmt.Sprintf("j-%06d", m.seq),
-		key:     key,
-		sc:      sc,
-		rule:    rule,
-		req:     req,
-		created: now,
-		done:    make(chan struct{}),
-		state:   JobQueued,
-	}
-	if lead, ok := m.inflight[key]; ok {
+	j.created, j.done, j.state = now, make(chan struct{}), JobQueued
+	if lead, ok := m.inflight[j.key]; ok {
 		j.deduped = true
 		lead.followers = append(lead.followers, j)
-		m.jobs[j.id] = j
 		m.dedupedTotal++
-		return j, nil
+	} else {
+		select {
+		case m.queue <- j:
+			m.inflight[j.key] = j
+			m.queuedTotal++
+		default:
+			return errQueueFull
+		}
 	}
-	select {
-	case m.queue <- j:
-		m.inflight[key] = j
+	if pollable {
+		m.seq++
+		j.id = fmt.Sprintf("j-%06d", m.seq)
 		m.jobs[j.id] = j
-		m.queuedTotal++
-		return j, nil
-	default:
-		m.seq-- // the id was never visible; reuse it
-		return nil, errQueueFull
 	}
+	return nil
 }
 
 // start marks a dequeued job running.
@@ -177,14 +176,16 @@ func (m *jobManager) start(j *job, now time.Time) {
 	m.mu.Unlock()
 }
 
-// completeLocked moves a job to a terminal state and schedules it for TTL
-// GC. Callers hold the mutex.
+// completeLocked moves a job to a terminal state and, when it is
+// registered, schedules it for TTL GC. Callers hold the mutex.
 func (m *jobManager) completeLocked(j *job, now time.Time, state JobState, resp *FormResponse, errMsg string) {
 	j.state = state
 	j.result = resp
 	j.errMsg = errMsg
 	j.finished = now
-	m.order = append(m.order, j)
+	if j.id != "" {
+		m.order = append(m.order, j)
+	}
 	switch state {
 	case JobDone:
 		m.doneTotal++
@@ -355,7 +356,9 @@ func (s *Server) jobWorker() {
 	}
 }
 
-// runJob executes one leader job under the server's job budget.
+// runJob executes one leader job under the server's job budget, which
+// starts when a worker dequeues it. A panicking solve fails the job (and
+// every follower waiting on it) with the panic as its error.
 func (s *Server) runJob(j *job) {
 	s.jobs.start(j, time.Now())
 	ctx, cancel := withBudget(context.Background(), s.budget(j.req.TimeoutMS))
@@ -363,45 +366,53 @@ func (s *Server) runJob(j *job) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.panicked()
-			s.jobs.finish(j, time.Now(), nil, 0, fmt.Sprintf("worker panic: %v", rec))
+			s.jobs.finish(j, time.Now(), nil, 0, fmt.Sprintf("internal error: %v", rec))
 		}
 	}()
-	run, err := s.solveForm(ctx, j.sc, j.rule, &j.req)
+	resp, faults, err := s.solveForm(ctx, j)
 	if err != nil {
 		s.jobs.finish(j, time.Now(), nil, 0, err.Error())
 		return
 	}
-	s.jobs.finish(j, time.Now(), &run.resp, run.faults, "")
+	s.jobs.finish(j, time.Now(), resp, faults, "")
 }
 
-// handleJobSubmit accepts a VO-formation job: validate and build the
-// scenario now (bad requests fail fast with 400), then enqueue and return
-// 202 with the job id — or coalesce onto an identical in-flight job.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+// submitForm is the front half of both formation routes: decode and
+// validate the request, build its scenario, resolve its engine once, and
+// submit the job to the FSM. On failure it has written the reply — 400 or
+// 413 for a bad request, 429 + Retry-After on a full queue, 503 while
+// draining — and returns nil.
+func (s *Server) submitForm(w http.ResponseWriter, r *http.Request, pollable bool) *job {
 	var req FormRequest
 	if !s.decodeJSON(w, r, &req) {
-		return
+		return nil
 	}
 	sc, rule, err := buildFormRequest(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil
 	}
-	// Resolve the engine now so the dedupe key and the worker share the
-	// cached scenario pointer.
-	sc, _, scKey := s.engineFor(sc)
-	j, err := s.jobs.submit(time.Now(), jobKey(scKey, rule, &req), sc, rule, req)
-	switch {
+	sc, eng, scKey := s.engineFor(sc)
+	j := &job{key: jobKey(scKey, rule, &req), sc: sc, eng: eng, rule: rule, req: req}
+	switch err := s.jobs.submit(time.Now(), j, pollable); {
 	case errors.Is(err, errQueueFull):
 		s.metrics.shedded()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "job queue full; retry later")
-		return
+		return nil
 	case errors.Is(err, errJobsClosed):
 		writeError(w, http.StatusServiceUnavailable, "server draining; submit elsewhere")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
+		return nil
+	}
+	return j
+}
+
+// handleJobSubmit accepts a VO-formation job and returns 202 with the id
+// to poll — the job is either enqueued or coalesced onto an identical
+// in-flight one.
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	j := s.submitForm(w, r, true)
+	if j == nil {
 		return
 	}
 	snap := s.jobs.snapshot(s.cfg.JobWorkers)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +90,16 @@ func TestJobSubmitPollDone(t *testing.T) {
 	if st.Result == nil || !st.Result.Feasible {
 		t.Fatalf("done job carries no feasible result: %+v", st.Result)
 	}
+	// One engine-cache lookup per formation: the cold job misses once and
+	// the worker reuses the engine resolved at submit.
+	var snap MetricsSnapshot
+	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+	if snap.EngineCache.Misses != 1 || snap.EngineCache.Hits != 0 {
+		t.Fatalf("engine_cache misses/hits = %d/%d, want 1/0",
+			snap.EngineCache.Misses, snap.EngineCache.Hits)
+	}
 
 	// The sync path on a second server (fresh engine — no shared cache
 	// state) must agree bitwise on every solution field.
@@ -114,47 +126,137 @@ func TestJobSubmitPollDone(t *testing.T) {
 	}
 }
 
-// TestJobDedupe coalesces two identical submissions onto one solve: the
-// follower consumes no queue slot, runs no solver, and shares the
-// leader's result object.
+// waitJobs polls the job manager until pred holds on its counters.
+func waitJobs(t *testing.T, s *Server, pred func(JobsSnapshot) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !pred(s.jobs.snapshot(s.cfg.JobWorkers)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job counters stuck at %+v", s.jobs.snapshot(s.cfg.JobWorkers))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// formVia starts one formation, through POST /v1/vo/form when sync is
+// set, else through POST /v1/jobs. The returned func blocks until the
+// formation is terminal and returns its result; a sync request's status
+// must be 200 and a job must end done.
+func formVia(t *testing.T, url string, req FormRequest, sync bool) func() *FormResponse {
+	t.Helper()
+	if !sync {
+		sub := submitJob(t, url, req)
+		return func() *FormResponse {
+			st := pollJob(t, url, sub.ID, terminal)
+			if st.State != string(JobDone) {
+				t.Fatalf("job %s ended %s, want done", sub.ID, st.State)
+			}
+			return st.Result
+		}
+	}
+	type reply struct {
+		code int
+		data []byte
+	}
+	body := jsonBody(t, req)
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/vo/form", "application/json", body)
+		if err != nil {
+			done <- reply{data: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		done <- reply{resp.StatusCode, data}
+	}()
+	return func() *FormResponse {
+		r := <-done
+		if r.code != http.StatusOK {
+			t.Fatalf("sync form: want 200, got %d: %s", r.code, r.data)
+		}
+		var fr FormResponse
+		if err := json.Unmarshal(r.data, &fr); err != nil {
+			t.Fatal(err)
+		}
+		return &fr
+	}
+}
+
+// TestJobDedupe coalesces two identical formations onto one solve, for
+// every pairing of the sync and job routes: the follower consumes no
+// queue slot, runs no solver, and gets the leader's result — equal bytes
+// apart from duration_ms.
 func TestJobDedupe(t *testing.T) {
-	s, ts := newTestServer(t, Config{JobWorkers: 1})
-	gate := make(chan struct{})
-	spec := mechanism.SampleSpec(3)
-	registerEngine(t, s, spec, 3, gatedSolver(gate))
-	req := FormRequest{Scenario: *spec, Seed: 3}
+	for _, tc := range []struct {
+		name             string
+		syncLead, syncFo bool
+	}{
+		{"jobs", false, false},
+		{"sync", true, true},
+		{"job then sync", false, true},
+		{"sync then job", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{JobWorkers: 1})
+			gate := make(chan struct{})
+			var once sync.Once
+			release := func() { once.Do(func() { close(gate) }) }
+			t.Cleanup(release) // a failed check must not leave the solve blocked
+			spec := mechanism.SampleSpec(3)
+			registerEngine(t, s, spec, 3, gatedSolver(gate))
+			req := FormRequest{Scenario: *spec, Seed: 3}
 
-	lead := submitJob(t, ts.URL, req)
-	follow := submitJob(t, ts.URL, req)
-	if lead.Deduped {
-		t.Fatal("leader marked deduped")
+			lead := formVia(t, ts.URL, req, tc.syncLead)
+			waitJobs(t, s, func(js JobsSnapshot) bool { return js.Queued == 1 })
+			if !tc.syncFo {
+				follow := submitJob(t, ts.URL, req)
+				if !follow.Deduped {
+					t.Fatal("identical in-flight submission not deduped")
+				}
+				release()
+				leadRes := lead()
+				st := pollJob(t, ts.URL, follow.ID, terminal)
+				if st.State != string(JobDone) {
+					t.Fatalf("follower ended %s, want done", st.State)
+				}
+				compareDeduped(t, s, ts.URL, leadRes, st.Result)
+				return
+			}
+			follow := formVia(t, ts.URL, req, true)
+			waitJobs(t, s, func(js JobsSnapshot) bool { return js.Deduped == 1 })
+			release()
+			compareDeduped(t, s, ts.URL, lead(), follow())
+		})
 	}
-	if !follow.Deduped {
-		t.Fatal("identical in-flight submission not deduped")
-	}
-	close(gate)
+}
 
-	stLead := pollJob(t, ts.URL, lead.ID, terminal)
-	stFollow := pollJob(t, ts.URL, follow.ID, terminal)
-	if stLead.State != string(JobDone) || stFollow.State != string(JobDone) {
-		t.Fatalf("states %s / %s, want done / done", stLead.State, stFollow.State)
-	}
+// compareDeduped checks a coalesced pair: one underlying solve, equal
+// results apart from duration_ms, and the job counters of one leader and
+// one follower.
+func compareDeduped(t *testing.T, s *Server, url string, lead, follow *FormResponse) {
+	t.Helper()
 	// One underlying solve: the follower's engine stats are the leader's,
 	// verbatim, and the process-wide totals contain exactly the leader's
 	// solves (a second real run would have added cache hits at least).
-	if stFollow.Result.Engine != stLead.Result.Engine {
-		t.Fatalf("follower re-solved: %+v vs %+v", stFollow.Result.Engine, stLead.Result.Engine)
+	if follow.Engine != lead.Engine {
+		t.Fatalf("follower re-solved: %+v vs %+v", follow.Engine, lead.Engine)
+	}
+	a, b := *lead, *follow
+	a.DurationMS, b.DurationMS = 0, 0
+	if ja, jb := mustJSON(t, a), mustJSON(t, b); !bytes.Equal(ja, jb) {
+		t.Fatalf("coalesced results differ:\n%s\n%s", ja, jb)
 	}
 	var snap MetricsSnapshot
-	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
+	if code := getJSON(t, url+"/metrics", &snap); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}
 	if snap.Jobs.Deduped != 1 || snap.Jobs.Queued != 1 || snap.Jobs.Done != 2 {
 		t.Fatalf("job counters off: %+v", snap.Jobs)
 	}
-	if snap.Engine.Solves != stLead.Result.Engine.Solves {
+	if snap.Engine.Solves != lead.Engine.Solves {
 		t.Fatalf("process solves %d != leader's %d: dedupe ran a second solve",
-			snap.Engine.Solves, stLead.Result.Engine.Solves)
+			snap.Engine.Solves, lead.Engine.Solves)
 	}
 }
 
@@ -187,12 +289,26 @@ func TestJobQueueFull429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
+
+	// A sync formation is admitted by the same queue and sheds the same way.
+	syncResp, err := http.Post(ts.URL+"/v1/vo/form", "application/json",
+		jsonBody(t, FormRequest{Scenario: *spec, Seed: 4, TimeoutMS: 57000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer syncResp.Body.Close()
+	if syncResp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overflow sync form: want 429, got %d", syncResp.StatusCode)
+	}
+	if syncResp.Header.Get("Retry-After") == "" {
+		t.Fatal("sync 429 without Retry-After")
+	}
 	var snap MetricsSnapshot
 	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}
-	if snap.ShedTotal == 0 {
-		t.Fatal("queue-full rejection not counted as shed")
+	if snap.ShedTotal != 2 {
+		t.Fatalf("shed_total = %d, want 2 (one job submit, one sync form)", snap.ShedTotal)
 	}
 }
 
@@ -313,16 +429,16 @@ func TestJobFaultTouchedNeverShared(t *testing.T) {
 	m := newJobManager(4, time.Minute)
 	now := time.Unix(0, 0)
 	req := FormRequest{Seed: 1}
-	lead, err := m.submit(now, 42, nil, gridvo.TVOF, req)
-	if err != nil {
+	lead := &job{key: 42, rule: gridvo.TVOF, req: req}
+	if err := m.submit(now, lead, true); err != nil {
 		t.Fatal(err)
 	}
-	f1, err := m.submit(now, 42, nil, gridvo.TVOF, req)
-	if err != nil || !f1.deduped {
+	f1 := &job{key: 42, rule: gridvo.TVOF, req: req}
+	if err := m.submit(now, f1, true); err != nil || !f1.deduped {
 		t.Fatalf("follower not deduped: %v", err)
 	}
-	f2, err := m.submit(now, 42, nil, gridvo.TVOF, req)
-	if err != nil || !f2.deduped {
+	f2 := &job{key: 42, rule: gridvo.TVOF, req: req}
+	if err := m.submit(now, f2, false); err != nil || !f2.deduped {
 		t.Fatalf("second follower not deduped: %v", err)
 	}
 	<-m.queue // worker would have dequeued the leader
@@ -364,8 +480,8 @@ func TestJobFaultTouchedNeverShared(t *testing.T) {
 func TestJobTTLGC(t *testing.T) {
 	m := newJobManager(4, time.Minute)
 	t0 := time.Unix(0, 0)
-	j, err := m.submit(t0, 1, nil, gridvo.TVOF, FormRequest{})
-	if err != nil {
+	j := &job{key: 1, rule: gridvo.TVOF}
+	if err := m.submit(t0, j, true); err != nil {
 		t.Fatal(err)
 	}
 	<-m.queue
@@ -374,8 +490,20 @@ func TestJobTTLGC(t *testing.T) {
 	if m.get(j.id) == nil {
 		t.Fatal("terminal job GC'd before TTL")
 	}
+	// A sync request's job is never registered, so the registry does not
+	// hold its result for the TTL.
+	sj := &job{key: 3, rule: gridvo.TVOF}
+	if err := m.submit(t0, sj, false); err != nil {
+		t.Fatal(err)
+	}
+	<-m.queue
+	m.start(sj, t0)
+	m.finish(sj, t0, &FormResponse{Feasible: true}, 0, "")
+	if sj.id != "" || len(m.jobs) != 1 || len(m.order) != 1 {
+		t.Fatalf("sync job registered: id %q, %d jobs, %d awaiting GC", sj.id, len(m.jobs), len(m.order))
+	}
 	// A later submit triggers the lazy GC sweep past the TTL.
-	if _, err := m.submit(t0.Add(2*time.Minute), 2, nil, gridvo.TVOF, FormRequest{Seed: 2}); err != nil {
+	if err := m.submit(t0.Add(2*time.Minute), &job{key: 2, rule: gridvo.TVOF, req: FormRequest{Seed: 2}}, true); err != nil {
 		t.Fatal(err)
 	}
 	if m.get(j.id) != nil {
@@ -385,9 +513,14 @@ func TestJobTTLGC(t *testing.T) {
 
 func jsonBody(t *testing.T, v any) *bytes.Reader {
 	t.Helper()
+	return bytes.NewReader(mustJSON(t, v))
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.NewReader(data)
+	return data
 }

@@ -28,10 +28,11 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies; oversized requests get 413.
 	// 0 selects 8 MiB.
 	MaxBodyBytes int64
-	// MaxInFlight bounds concurrently served solve requests (healthz and
-	// metrics are exempt); excess requests are shed immediately with 429
-	// and a Retry-After header rather than queued unboundedly. 0 selects
-	// 2×GOMAXPROCS.
+	// MaxInFlight bounds concurrently served /v1/reputation,
+	// /v1/trust/delta and /v1/assign requests; excess requests are shed
+	// immediately with 429 and a Retry-After header rather than queued
+	// unboundedly. Formations are admitted by the job queue instead. 0
+	// selects 2×GOMAXPROCS.
 	MaxInFlight int
 	// EngineCacheSize bounds the scenario-engine LRU. 0 selects 64.
 	EngineCacheSize int
@@ -40,8 +41,9 @@ type Config struct {
 	// per shard, not on one process-wide mutex. 0 selects
 	// mechanism.DefaultCacheShards (smallest power of two ≥ GOMAXPROCS).
 	EngineCacheShards int
-	// JobQueueDepth bounds the async job queue drained by the worker
-	// pool; a full queue sheds new submissions with 429. 0 selects 256.
+	// JobQueueDepth bounds the formation job queue drained by the worker
+	// pool (sync /v1/vo/form requests and /v1/jobs submissions alike); a
+	// full queue sheds new formations with 429. 0 selects 256.
 	JobQueueDepth int
 	// JobWorkers sets the worker-pool size draining the job queue.
 	// 0 selects GOMAXPROCS.
@@ -59,16 +61,6 @@ type Config struct {
 	// every engine the server creates — the chaos-testing path; nil (the
 	// production default) is a no-op.
 	Inject *fault.Injector
-	// MaxRetries bounds the bounded-retry-with-backoff loop applied to
-	// /v1/vo/form when a run degrades because injected faults fired: the
-	// run is repeated (against the now-warmer engine cache) up to this
-	// many extra times while the request deadline allows. 0 disables
-	// retries. Real deadline expiry is never retried — the budget is
-	// already spent.
-	MaxRetries int
-	// RetryBackoff is the base delay between retries, doubled each
-	// attempt; 0 selects 5ms.
-	RetryBackoff time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -83,9 +75,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.EngineCacheSize == 0 {
 		c.EngineCacheSize = 64
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 5 * time.Millisecond
 	}
 	if c.JobQueueDepth == 0 {
 		c.JobQueueDepth = 256
@@ -125,10 +114,10 @@ const (
 	// health, metrics, job polls — none of them solve or ingest bodies).
 	routeOpen routeClass = iota
 	// routeSolve takes a solve slot (429 when saturated) and caps the
-	// request body — the synchronous solve endpoints.
+	// request body — the endpoints that solve in the handler.
 	routeSolve
-	// routeIngest caps the request body but takes no solve slot: job
-	// submission is cheap bookkeeping; the bounded queue is its
+	// routeIngest caps the request body but takes no solve slot: both
+	// formation routes submit to the job queue, whose bound is their
 	// backpressure (429 comes from queue-full, not the semaphore).
 	routeIngest
 )
@@ -150,7 +139,7 @@ func New(cfg Config) *Server {
 	s.handle("POST", "/v1/reputation", routeSolve, s.handleReputation)
 	s.handle("POST", "/v1/trust/delta", routeSolve, s.handleTrustDelta)
 	s.handle("GET", "/v1/trust/stats", routeOpen, s.handleTrustStats)
-	s.handle("POST", "/v1/vo/form", routeSolve, s.handleForm)
+	s.handle("POST", "/v1/vo/form", routeIngest, s.handleForm)
 	s.handle("POST", "/v1/assign", routeSolve, s.handleAssign)
 	s.handle("POST", "/v1/jobs", routeIngest, s.handleJobSubmit)
 	s.handle("GET", "/v1/jobs/{id}", routeOpen, s.handleJobGet)
@@ -282,18 +271,13 @@ func (s *Server) budget(timeoutMS int64) time.Duration {
 
 // withBudget derives a context bounded by d (0 = unbounded). Job workers
 // parent on context.Background() so a queued job survives its submitter's
-// disconnect; the sync path parents on the request context.
+// disconnect; /v1/assign parents on the request context, so a client
+// disconnect cancels its solve too.
 func withBudget(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if d <= 0 {
 		return context.WithCancel(parent)
 	}
 	return context.WithTimeout(parent, d)
-}
-
-// solveContext is withBudget parented on the request's own context, so
-// client disconnects cancel in-flight synchronous solves too.
-func (s *Server) solveContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	return withBudget(r.Context(), s.budget(timeoutMS))
 }
 
 // ListenAndServe serves the API on addr until ctx is cancelled, then
