@@ -131,12 +131,24 @@ func (m *Dense) MulVec(x []float64) []float64 {
 // length Rows. The result has length Cols. This is the power-method kernel:
 // x^{q+1} = Aᵀ x^q (eq. 5 of the paper).
 func (m *Dense) TMulVec(x []float64) []float64 {
+	y := make([]float64, m.cols)
+	m.TMulVecInto(y, x)
+	return y
+}
+
+// TMulVecInto is TMulVec writing into y, which must have length Cols: y is
+// overwritten, never accumulated into, and the result is bitwise identical
+// to TMulVec's. It does not allocate. Like CSR.TMulVecInto it is not part
+// of the Matrix interface.
+func (m *Dense) TMulVecInto(y, x []float64) {
 	if len(x) != m.rows {
 		panic(fmt.Sprintf("matrix: TMulVec with len(x)=%d, want %d", len(x), m.rows))
 	}
-	y := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
+	if len(y) != m.cols {
+		panic(fmt.Sprintf("matrix: TMulVecInto with len(y)=%d, want %d", len(y), m.cols))
+	}
+	clear(y)
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
@@ -145,7 +157,6 @@ func (m *Dense) TMulVec(x []float64) []float64 {
 			y[j] += a * xi
 		}
 	}
-	return y
 }
 
 // Mul returns the matrix product A·B. It panics on dimension mismatch.

@@ -159,10 +159,6 @@ func (m *CSR) MulVec(x []float64) []float64 {
 	return y
 }
 
-// TMulVec computes y = Aᵀ·x without materializing the transpose; x must have
-// length Rows. Rows are visited in ascending order and entries within a row
-// in ascending column order, matching Dense.TMulVec's accumulation order
-// exactly, so results are bitwise identical on equal inputs.
 // tmulBandRows is the row-band height of the cache-blocked TMulVec path:
 // 1<<15 source slots = 256 KiB of x per band, sized to stay L2-resident.
 // tmulBandThreshold gates the blocked path to matrices whose output
@@ -285,11 +281,30 @@ func (m *CSR) invalidateT() {
 	m.tmu.Unlock()
 }
 
+// TMulVec computes y = Aᵀ·x without materializing the transpose; x must have
+// length Rows. Rows are visited in ascending order and entries within a row
+// in ascending column order, matching Dense.TMulVec's accumulation order
+// exactly, so results are bitwise identical on equal inputs.
 func (m *CSR) TMulVec(x []float64) []float64 {
+	y := make([]float64, m.cols)
+	m.TMulVecInto(y, x)
+	return y
+}
+
+// TMulVecInto is TMulVec writing into y, which must have length Cols: y is
+// overwritten (never accumulated into) and the result is bitwise identical
+// to TMulVec's. It allocates nothing once the banded layout of a wide matrix
+// is built, so a power iteration can ping-pong two vectors. It is
+// deliberately not part of the Matrix interface; callers reach it through
+// an optional-interface assertion and fall back to TMulVec.
+func (m *CSR) TMulVecInto(y, x []float64) {
 	if len(x) != m.rows {
 		panic(fmt.Sprintf("matrix: TMulVec with len(x)=%d, want %d", len(x), m.rows))
 	}
-	y := make([]float64, m.cols)
+	if len(y) != m.cols {
+		panic(fmt.Sprintf("matrix: TMulVecInto with len(y)=%d, want %d", len(y), m.cols))
+	}
+	clear(y)
 	if m.cols >= tmulBandThreshold {
 		t := m.tBands()
 		for b := 0; b+1 < len(t.bandPtr); b++ {
@@ -303,18 +318,19 @@ func (m *CSR) TMulVec(x []float64) []float64 {
 				y[k>>16] += t.val[p] * xi
 			}
 		}
-		return y
+		return
 	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
+	rowPtr, colIdx, val := m.rowPtr, m.colIdx, m.val
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			y[m.colIdx[k]] += m.val[k] * xi
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols, vals := colIdx[lo:hi], val[lo:hi]
+		for k, j := range cols {
+			y[j] += vals[k] * xi
 		}
 	}
-	return y
 }
 
 // RowSums returns the vector of per-row sums.

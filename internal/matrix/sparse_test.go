@@ -313,3 +313,44 @@ func TestCSRTMulVecBandedBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestTMulVecIntoOverwritesDirtyBuffer checks that TMulVecInto overwrites
+// its output rather than accumulating into it: a NaN-filled y must come
+// back bitwise equal to TMulVec's fresh vector, on Dense, the CSR row
+// sweep, and the CSR banded path.
+func TestTMulVecIntoOverwritesDirtyBuffer(t *testing.T) {
+	rng := xrand.New(29)
+	d := randomDense(rng, 9, 7, 0.4)
+	b := NewBuilder(40, tmulBandThreshold+77)
+	for i := 0; i < 40; i++ {
+		for e := 0; e < 50; e++ {
+			b.Add(i, rng.IntN(tmulBandThreshold+77), rng.Float64())
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		m    interface {
+			Matrix
+			TMulVecInto(y, x []float64)
+		}
+	}{
+		{"dense", d},
+		{"csr-rows", CSRFromDense(d)},
+		{"csr-banded", b.Build()},
+	} {
+		x := make([]float64, tc.m.Rows())
+		for i := range x {
+			if !rng.Bool(0.25) { // keep some exact zeros for the skip path
+				x[i] = rng.Float64()
+			}
+		}
+		y := make([]float64, tc.m.Cols())
+		for j := range y {
+			y[j] = math.NaN()
+		}
+		tc.m.TMulVecInto(y, x)
+		if want := tc.m.TMulVec(x); !bitsEqual(y, want) {
+			t.Errorf("%s: TMulVecInto into a dirty buffer differs from TMulVec", tc.name)
+		}
+	}
+}

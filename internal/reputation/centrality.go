@@ -292,10 +292,11 @@ func EigenTrust(g *trust.Graph, opts EigenTrustOptions) ([]float64, Diagnostics,
 	}
 	a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: true})
 	x := append([]float64(nil), p...)
+	spare := make([]float64, n)
 	var diag Diagnostics
 	diag.Dangling = dangling
 	for q := 0; q < maxIter; q++ {
-		next := a.TMulVec(x)
+		next := tmulVec(a, spare, x)
 		for i := range next {
 			next[i] = (1-alpha)*next[i] + alpha*p[i]
 		}
@@ -314,7 +315,7 @@ func EigenTrust(g *trust.Graph, opts EigenTrustOptions) ([]float64, Diagnostics,
 		for i := range next {
 			delta += math.Abs(next[i] - x[i])
 		}
-		x = next
+		spare, x = x, next
 		diag.Iterations = q + 1
 		diag.Delta = delta
 		if delta < eps {

@@ -126,9 +126,12 @@ func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 	if plan := opts.Inject.Visit(fault.PointReputation); plan.Class == fault.NonConverge {
 		opts.MaxIter = plan.MaxIter
 	}
-	a, dangling := g.Normalized(trust.NormalizeOptions{DanglingUniform: opts.DanglingUniform})
-	x, diag := PowerIterate(a, opts)
-	diag.Dangling = dangling
+	var x []float64
+	var diag Diagnostics
+	g.WithNormalized(trust.NormalizeOptions{DanglingUniform: opts.DanglingUniform}, func(a matrix.Matrix, dangling []int) {
+		x, diag = PowerIterate(a, opts)
+		diag.Dangling = dangling
+	})
 	return x, diag, nil
 }
 
@@ -138,7 +141,10 @@ func Global(g *trust.Graph, opts Options) ([]float64, Diagnostics, error) {
 // renormalization the iterate would decay in magnitude while keeping the
 // same direction). The matrix must be square. Any matrix.Matrix works;
 // with a CSR each step is O(nnz), and the Dense and CSR representations of
-// the same values produce bitwise-identical iterates.
+// the same values produce bitwise-identical iterates. Matrices with a
+// TMulVecInto method (both formats) are multiplied in place into two
+// alternating vectors, so a solve allocates O(1) times whatever the
+// iteration count.
 //
 //gridvolint:ignore ctxthread bounded by Options.MaxIter; cancellation is enforced per-solve by mechanism.Engine
 func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
@@ -164,10 +170,11 @@ func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
 	}
 
 	x, warm := startVector(n, opts.InitialVector)
+	spare := make([]float64, n)
 	var diag Diagnostics
 	diag.Warm = warm
 	for q := 0; q < maxIter; q++ {
-		next := a.TMulVec(x)
+		next := tmulVec(a, spare, x)
 		if opts.Damping > 0 {
 			d := opts.Damping
 			u := d / float64(n)
@@ -183,7 +190,7 @@ func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
 		default:
 			delta = matrix.VecDiffNormL2(next, x)
 		}
-		x = next
+		spare, x = x, next
 		diag.Iterations = q + 1
 		diag.Delta = delta
 		if delta < eps {
@@ -192,6 +199,19 @@ func PowerIterate(a matrix.Matrix, opts Options) ([]float64, Diagnostics) {
 		}
 	}
 	return x, diag
+}
+
+// tmulVec returns Aᵀ·x, overwriting y when a can multiply in place and
+// allocating through TMulVec otherwise. The in-place form is an optional
+// interface rather than a matrix.Matrix method so that wrappers embedding
+// the interface (timing shims, say) keep intercepting TMulVec instead of
+// having an unwrapped TMulVecInto promoted past them.
+func tmulVec(a matrix.Matrix, y, x []float64) []float64 {
+	if m, ok := a.(interface{ TMulVecInto(y, x []float64) }); ok {
+		m.TMulVecInto(y, x)
+		return y
+	}
+	return a.TMulVec(x)
 }
 
 // startVector returns the power iteration's starting point: the L1

@@ -426,3 +426,30 @@ func uniformVec(n int) []float64 {
 	}
 	return v
 }
+
+// TestPowerIterateAllocsIndependentOfIterations pins the in-place power
+// iteration: a solve allocates the same number of times whether it runs
+// 10 or 1000 steps. A directed 3-cycle started at a corner never
+// converges (the iterate rotates forever), so both budgets run to the end.
+func TestPowerIterateAllocsIndependentOfIterations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations make AllocsPerRun meaningless")
+	}
+	g := ring(3)
+	for _, f := range []trust.Format{trust.FormatDense, trust.FormatCSR} {
+		g.SetFormat(f)
+		a, _ := g.Normalized(trust.NormalizeOptions{DanglingUniform: true})
+		allocs := func(maxIter int) float64 {
+			opts := Options{MaxIter: maxIter, InitialVector: []float64{1, 0, 0}}
+			var diag Diagnostics
+			n := testing.AllocsPerRun(20, func() { _, diag = PowerIterate(a, opts) })
+			if diag.Converged || diag.Iterations != maxIter {
+				t.Fatalf("%v: %+v, want %d non-converged iterations", f, diag, maxIter)
+			}
+			return n
+		}
+		if short, long := allocs(10), allocs(1000); short != long {
+			t.Errorf("%v: %v allocations at MaxIter 10, %v at 1000", f, short, long)
+		}
+	}
+}

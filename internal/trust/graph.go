@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"gridvo/internal/matrix"
 	"gridvo/internal/xrand"
@@ -385,11 +386,106 @@ type NormalizeOptions struct {
 // each row is divided by its sum. The second return lists the GSPs that had
 // no outgoing trust at all and were patched per opts. The representation
 // (Dense or CSR) follows the graph's Format policy; both produce bitwise-
-// identical values (see the matrix.Matrix contract).
+// identical values (see the matrix.Matrix contract). The matrix is fresh
+// and owned by the caller; WithNormalized lends one from pooled storage.
 func (g *Graph) Normalized(opts NormalizeOptions) (matrix.Matrix, []int) {
-	a := g.buildMatrix()
-	dangling := a.NormalizeRows(opts.DanglingUniform)
-	return a, dangling
+	if g.pickFormat() == FormatDense {
+		a := g.buildMatrix()
+		dangling := a.NormalizeRows(opts.DanglingUniform)
+		return a, dangling
+	}
+	return g.normalizedCSR(opts.DanglingUniform, &csrBuf{})
+}
+
+// WithNormalized calls fn with the matrix and dangling list Normalized
+// would return, but a CSR matrix is backed by storage taken from a package
+// pool and handed back when fn returns, so repeated solves on a large graph
+// stop allocating (and garbage-collecting) a fresh O(nnz) matrix each time.
+// fn must not retain the matrix or let it escape; the dangling slice is
+// fresh and may be kept. Dense matrices are built fresh, as in Normalized.
+func (g *Graph) WithNormalized(opts NormalizeOptions, fn func(a matrix.Matrix, dangling []int)) {
+	if g.pickFormat() == FormatDense {
+		fn(g.Normalized(opts))
+		return
+	}
+	buf := csrPool.Get().(*csrBuf)
+	defer csrPool.Put(buf)
+	fn(g.normalizedCSR(opts.DanglingUniform, buf))
+}
+
+// csrBuf is the backing storage of a normalized CSR matrix. csrPool keeps
+// it between WithNormalized calls rather than any long-lived owner (such as
+// a Store) holding it, so an idle process does not pin an O(nnz) buffer:
+// the pool drops it after two garbage collections.
+type csrBuf struct {
+	rowPtr, colIdx []int
+	val            []float64
+}
+
+var csrPool = sync.Pool{New: func() any { return &csrBuf{} }}
+
+// resize returns s with length n, reusing its backing array when large
+// enough; reused contents are stale and callers overwrite every element.
+// Empty storage is allocated exactly. Storage that is outgrown gets n/8
+// spare capacity, so a pooled buffer behind a graph that gains edges
+// between solves is reused rather than reallocated on every solve.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make([]T, n)
+	default:
+		return make([]T, n, n+n/8)
+	}
+}
+
+// normalizedCSR builds the row-normalized CSR matrix in one pass over the
+// adjacency, into buf's storage (grown as needed and kept in buf). Every
+// value is computed exactly as matrix.CSR.NormalizeRows computes it on
+// buildMatrix's output — the row sum in ascending column order, then each
+// weight divided (not multiplied by the reciprocal) by it — and dangling
+// rows are materialized as explicit uniform rows at their position when
+// uniform is set, so the result is bitwise identical to that two-step
+// path. Adjacency rows hold only positive weights, so a zero sum means an
+// empty row.
+func (g *Graph) normalizedCSR(uniform bool, buf *csrBuf) (*matrix.CSR, []int) {
+	n := g.n
+	var dangling []int
+	for i, row := range g.adj {
+		if len(row) == 0 {
+			dangling = append(dangling, i)
+		}
+	}
+	nnz := g.nnz
+	if uniform {
+		nnz += len(dangling) * n
+	}
+	buf.rowPtr = resize(buf.rowPtr, n+1)
+	buf.colIdx = resize(buf.colIdx, nnz)
+	buf.val = resize(buf.val, nnz)
+	rowPtr, colIdx, val := buf.rowPtr, buf.colIdx, buf.val
+	rowPtr[0] = 0
+	p := 0
+	for i, row := range g.adj {
+		if len(row) == 0 && uniform {
+			u := 1 / float64(n)
+			for j := 0; j < n; j++ {
+				colIdx[p], val[p] = j, u
+				p++
+			}
+		}
+		s := 0.0
+		for _, e := range row {
+			s += e.w
+		}
+		for _, e := range row {
+			colIdx[p], val[p] = e.to, e.w/s
+			p++
+		}
+		rowPtr[i+1] = p
+	}
+	return matrix.NewCSRRaw(n, n, rowPtr, colIdx, val), dangling
 }
 
 // Subgraph returns the trust graph induced by keep: node k of the result is
