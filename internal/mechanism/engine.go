@@ -46,7 +46,9 @@ type EngineStats struct {
 	// WallTime sums solver wall-clock time across fresh solves.
 	WallTime time.Duration
 	// PowerIterations sums power-method multiply steps performed by the
-	// mechanism loop's per-coalition reputation solves.
+	// engine's reputation solves: the global vector and the mechanism
+	// loop's per-coalition solves. Solves served from the reputation memo
+	// perform none.
 	PowerIterations int64
 	// PowerIterationsSaved estimates multiply steps avoided by
 	// eigenvector warm starts. For the first iteration it is exact (the
@@ -55,6 +57,12 @@ type EngineStats struct {
 	// first solve, a proxy since the true cold count for each subgraph is
 	// never computed.
 	PowerIterationsSaved int64
+	// ReputationHits counts reputation solves served from the engine's
+	// reputation memo instead of the power method: the global vector and
+	// each eviction round's scores on a trajectory an earlier run on the
+	// engine already walked. A hit performs no multiply steps, so it adds
+	// nothing to PowerIterations or PowerIterationsSaved.
+	ReputationHits int64
 	// Degraded counts fresh evaluations served below the exact tier of
 	// the degradation ladder: searches truncated by the node budget or a
 	// (real or injected) cancellation, and inputs the malformed-input
@@ -107,6 +115,7 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 		WallTime:             s.WallTime + o.WallTime,
 		PowerIterations:      s.PowerIterations + o.PowerIterations,
 		PowerIterationsSaved: s.PowerIterationsSaved + o.PowerIterationsSaved,
+		ReputationHits:       s.ReputationHits + o.ReputationHits,
 		Degraded:             s.Degraded + o.Degraded,
 		Reformations:         s.Reformations + o.Reformations,
 		ChurnJoins:           s.ChurnJoins + o.ChurnJoins,
@@ -129,6 +138,7 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 		WallTime:             s.WallTime - o.WallTime,
 		PowerIterations:      s.PowerIterations - o.PowerIterations,
 		PowerIterationsSaved: s.PowerIterationsSaved - o.PowerIterationsSaved,
+		ReputationHits:       s.ReputationHits - o.ReputationHits,
 		Degraded:             s.Degraded - o.Degraded,
 		Reformations:         s.Reformations - o.Reformations,
 		ChurnJoins:           s.ChurnJoins - o.ChurnJoins,
@@ -140,6 +150,9 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 func (s EngineStats) String() string {
 	out := fmt.Sprintf("%d solves (%d warm-started), %d cache hits (%.1f%% hit rate), %d nodes, %s solver time, %d power iterations (%d saved)",
 		s.Solves, s.WarmStarts, s.CacheHits, 100*s.HitRate(), s.Nodes, s.WallTime, s.PowerIterations, s.PowerIterationsSaved)
+	if s.ReputationHits > 0 {
+		out += fmt.Sprintf(", %d reputation hits", s.ReputationHits)
+	}
 	if s.PrunedBySymmetry > 0 || s.PrunedByDominance > 0 {
 		out += fmt.Sprintf(", %d twin prunes (%d symmetry, %d dominance)",
 			s.PrunedBySymmetry+s.PrunedByDominance, s.PrunedBySymmetry, s.PrunedByDominance)
@@ -164,7 +177,9 @@ func (s EngineStats) String() string {
 // Solutions are cached only when the search was not interrupted by the
 // context (an interrupted solve is deadline-dependent, hence not
 // deterministic); node-budget truncation is deterministic and cacheable.
-// Engine is safe for concurrent use.
+// Beside the solutions the engine memoizes the mechanism loop's
+// reputation trajectories (repMemo), so a repeated formation performs no
+// power iterations either. Engine is safe for concurrent use.
 type Engine struct {
 	sc     *Scenario
 	solver assign.Solver
@@ -173,8 +188,34 @@ type Engine struct {
 
 	mu      sync.Mutex
 	noCache bool
-	cache   map[uint64]assign.Solution
+	cache   map[uint64]cachedSolution
+	rep     repMemo
 	stats   EngineStats
+}
+
+// cachedSolution is the part of an assign.Solution the cache keeps: the
+// answer and its certificate, without the per-solve Nodes and Stats
+// (about 150 bytes an entry), which describe the search that produced
+// the answer rather than the answer. A cache hit therefore returns zero
+// Nodes and Stats; the engine's own counters already hold the effort.
+type cachedSolution struct {
+	assign            []int
+	cost, lowerBound  float64
+	feasible, optimal bool
+	budgetHit         bool
+}
+
+// solution rebuilds the assign.Solution a hit returns, with a defensive
+// copy of the assignment.
+func (c *cachedSolution) solution() assign.Solution {
+	return assign.Solution{
+		Feasible:      c.feasible,
+		Assign:        append([]int(nil), c.assign...),
+		Cost:          c.cost,
+		Optimal:       c.optimal,
+		LowerBound:    c.lowerBound,
+		NodeBudgetHit: c.budgetHit,
+	}
 }
 
 // NewEngine creates the solve engine for a scenario with the given solver
@@ -188,7 +229,7 @@ func NewEngine(sc *Scenario, solverOpts assign.Options) *Engine {
 		sc:     sc,
 		solver: assign.DefaultSolver(),
 		opts:   solverOpts,
-		cache:  map[uint64]assign.Solution{},
+		cache:  map[uint64]cachedSolution{},
 	}
 }
 
@@ -216,9 +257,10 @@ func (e *Engine) SetInjector(in *fault.Injector) {
 // Injector returns the installed fault injector (nil when disabled).
 func (e *Engine) Injector() *fault.Injector { return e.inject }
 
-// SetCacheEnabled toggles memoization (the determinism tests compare
-// cache-on and cache-off runs). Disabling does not drop entries already
-// cached; it only bypasses lookups and stores.
+// SetCacheEnabled toggles memoization of coalition solutions and of
+// reputation trajectories (the determinism tests compare cache-on and
+// cache-off runs). Disabling does not drop entries already cached; it
+// only bypasses lookups and stores.
 func (e *Engine) SetCacheEnabled(on bool) {
 	e.mu.Lock()
 	e.noCache = !on
@@ -259,8 +301,8 @@ func memberMask(members []int) (uint64, bool) {
 // Solve returns the assignment solution for the coalition given by global
 // GSP indices, serving from the cache when the coalition was already
 // solved. Cache hits return a defensive copy of the assignment so callers
-// can retain it without aliasing each other. It is SolveWithParent
-// without a warm-start hint.
+// can retain it without aliasing each other, and zero Nodes and Stats
+// (see cachedSolution). It is SolveWithParent without a warm-start hint.
 func (e *Engine) Solve(ctx context.Context, members []int) assign.Solution {
 	return e.SolveWithParent(ctx, members, nil)
 }
@@ -301,19 +343,18 @@ func (e *Engine) SolveWithParent(ctx context.Context, members, parent []int) ass
 	var seed []int
 	e.mu.Lock()
 	if keyable && !e.noCache {
-		if sol, ok := e.cache[mask]; ok {
+		if c, ok := e.cache[mask]; ok {
 			e.stats.CacheHits++
 			e.mu.Unlock()
-			sol.Assign = append([]int(nil), sol.Assign...)
-			return sol
+			return c.solution()
 		}
 	}
 	if parent != nil && !e.noCache {
 		if pmask, ok := memberMask(parent); ok {
 			// Cached entries are immutable once stored, so projecting
 			// from the stored assignment outside the lock is safe.
-			if psol, ok := e.cache[pmask]; ok && psol.Feasible {
-				seed = psol.Assign
+			if pc, ok := e.cache[pmask]; ok && pc.feasible {
+				seed = pc.assign
 			}
 		}
 	}
@@ -355,9 +396,14 @@ func (e *Engine) SolveWithParent(ctx context.Context, members, parent []int) ass
 		e.stats.Degraded++
 	}
 	if keyable && !e.noCache && !sol.Stats.Interrupted() && !plan.Fired() {
-		cached := sol
-		cached.Assign = append([]int(nil), sol.Assign...)
-		e.cache[mask] = cached
+		e.cache[mask] = cachedSolution{
+			assign:     append([]int(nil), sol.Assign...),
+			cost:       sol.Cost,
+			lowerBound: sol.LowerBound,
+			feasible:   sol.Feasible,
+			optimal:    sol.Optimal,
+			budgetHit:  sol.NodeBudgetHit,
+		}
 	}
 	e.mu.Unlock()
 	return sol

@@ -284,9 +284,14 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 
 	res := &Result{Rule: opts.Eviction, Selected: -1, SelectedByProduct: -1, Engine: eng}
 
-	// Global reputation of every GSP in the full trust graph, computed
-	// once; eq. (7) averages over its restriction to each VO.
-	global, globalDiag, err := reputation.Global(sc.Trust, opts.Reputation)
+	// Global reputation of every GSP in the full trust graph, memoized
+	// per engine; eq. (7) averages over its restriction to each VO.
+	// cur is the run's position in the engine's reputation memo: each
+	// round's scores are looked up under the previous round's node, and a
+	// miss is computed and inserted there. Centrality scores are not
+	// power-method output, so those runs never walk the memo.
+	warm := !opts.NoWarmStart
+	global, globalDiag, cur, err := eng.globalReputation(opts.Reputation, warm)
 	if err != nil {
 		return nil, fmt.Errorf("mechanism: global reputation: %w", err)
 	}
@@ -294,21 +299,24 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 		degraded = true
 	}
 	res.GlobalReputation = global
-	eng.notePower(globalDiag.Iterations, 0)
+	if opts.Eviction == EvictLowestCentrality {
+		cur = noNode
+	}
 
 	// members holds the current VO as global GSP indices, ascending.
+	// curTrust, the trust graph induced on members, is built on the
+	// run's first memo miss; a run served from the memo never builds it.
 	members := make([]int, sc.M())
 	for i := range members {
 		members[i] = i
 	}
-	curTrust := sc.Trust.Clone()
+	var curTrust *trust.Graph
 
 	// Warm-start state threaded iteration to iteration: the previous
 	// coalition (whose cached solution seeds the next IP solve) and the
 	// previous reputation vector (restricted to the survivors, it seeds
 	// the next power iteration). coldIters anchors the iterations-saved
 	// estimate at the run's one guaranteed-cold power solve.
-	warm := !opts.NoWarmStart
 	var parentMembers []int
 	var repInit []float64
 	coldIters := globalDiag.Iterations
@@ -344,13 +352,22 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 		// was just computed — reuse it instead of re-iterating (exact,
 		// not approximate: same graph, same options, same fixed point).
 		var scores []float64
+		mask, _ := memberMask(members)
 		if firstIter := len(res.Iterations) == 0; firstIter && warm && opts.Eviction != EvictLowestCentrality {
 			scores = global
 			eng.notePower(0, coldIters)
+		} else if hit, converged, next, ok := eng.repLookup(cur, mask); ok {
+			scores, cur = hit, next
+			if !converged {
+				degraded = true
+			}
 		} else {
 			var init []float64
 			if warm {
 				init = repInit
+			}
+			if curTrust == nil {
+				curTrust = sc.Trust.Subgraph(members)
 			}
 			// Fault hook: a ZeroTrustRow plan clears one member's outgoing
 			// trust before the score computation, producing the dangling
@@ -374,6 +391,7 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 				saved = coldIters - diag.Iterations
 			}
 			eng.notePower(diag.Iterations, saved)
+			cur = eng.repInsert(cur, mask, scores, diag.Converged)
 		}
 		rec.Reputation = scores
 		rec.AvgReputation = reputation.AverageOf(global, members)
@@ -403,7 +421,9 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 				keepLocal = append(keepLocal, i)
 			}
 		}
-		curTrust = curTrust.Subgraph(keepLocal)
+		if curTrust != nil {
+			curTrust = curTrust.Subgraph(keepLocal)
+		}
 		next := make([]int, 0, len(members)-1)
 		for i, g := range members {
 			if i != evictLocal {
@@ -458,13 +478,13 @@ func RunContext(ctx context.Context, sc *Scenario, opts Options, rng *xrand.RNG)
 			if joins > 0 || leaves > 0 {
 				eng.noteChurn(joins, leaves)
 				// Re-induce the VO trust graph from the full scenario
-				// graph. Subgraph composes (a Subgraph of a Subgraph is
-				// the Subgraph of the intersection), so for pure
-				// departures this equals continuing the eviction chain,
-				// and re-joiners get exactly the edges among current
-				// members back — the model's "all edges touching a
-				// departed GSP are forgotten" applies only while absent.
-				curTrust = sc.Trust.Subgraph(members)
+				// graph on the next miss. Subgraph composes (a Subgraph of
+				// a Subgraph is the Subgraph of the intersection), so for
+				// pure departures this equals continuing the eviction
+				// chain, and re-joiners get exactly the edges among
+				// current members back — the model's "all edges touching
+				// a departed GSP are forgotten" applies only while absent.
+				curTrust = nil
 				if warm {
 					// Rebuild the eigenvector seed parallel to the new
 					// membership: survivors keep their scores, joiners

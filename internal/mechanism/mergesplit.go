@@ -236,7 +236,7 @@ func MergeSplitContext(ctx context.Context, sc *Scenario, opts MergeSplitOptions
 		if repOpts.IsZero() {
 			repOpts = reputation.DefaultOptions()
 		}
-		global, _, err := reputation.Global(sc.Trust, repOpts)
+		global, _, _, err := eng.globalReputation(repOpts, !opts.NoWarmStart)
 		if err != nil {
 			return nil, err
 		}

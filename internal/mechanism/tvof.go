@@ -78,22 +78,22 @@ func StabilityCheckContext(ctx context.Context, sc *Scenario, res *Result, opts 
 	if final == nil || len(final.Members) <= 1 {
 		return true, -1, nil
 	}
-	global := res.GlobalReputation
-	if global == nil {
-		global, _, err = reputation.Global(sc.Trust, opts.Reputation)
-		if err != nil {
-			return false, -1, err
-		}
-	}
-	if criterion == CriterionTotal && totalStrictlyDecreases(global, final.Members) {
-		return true, -1, nil
-	}
 	if opts.Engine == nil && res.Engine != nil && res.Engine.sc == sc {
 		opts.Engine = res.Engine
 	}
 	eng, err := engineFor(sc, &opts)
 	if err != nil {
 		return false, -1, err
+	}
+	global := res.GlobalReputation
+	if global == nil {
+		global, _, _, err = eng.globalReputation(opts.Reputation, !opts.NoWarmStart)
+		if err != nil {
+			return false, -1, err
+		}
+	}
+	if criterion == CriterionTotal && totalStrictlyDecreases(global, final.Members) {
+		return true, -1, nil
 	}
 	// Each candidate coalition is the final VO minus one member:
 	// warm-start those solves from the final VO's cached solution (a

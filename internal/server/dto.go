@@ -184,6 +184,9 @@ type EngineStatsJSON struct {
 	// power-method work and the steps avoided by eigenvector warm starts.
 	PowerIterations      int64 `json:"power_iterations"`
 	PowerIterationsSaved int64 `json:"power_iterations_saved"`
+	// ReputationHits counts reputation solves served from the engine's
+	// memo of earlier runs' trajectories (no power iterations performed).
+	ReputationHits int64 `json:"reputation_hits"`
 	// DegradedSolves counts evaluations served below the exact tier of
 	// the degradation ladder (truncated searches, rejected inputs).
 	DegradedSolves int64 `json:"degraded_solves"`
@@ -209,6 +212,7 @@ func engineStatsJSON(s mechanism.EngineStats) EngineStatsJSON {
 		SolverMS:             float64(s.WallTime) / float64(time.Millisecond),
 		PowerIterations:      s.PowerIterations,
 		PowerIterationsSaved: s.PowerIterationsSaved,
+		ReputationHits:       s.ReputationHits,
 		DegradedSolves:       s.Degraded,
 		Reformations:         s.Reformations,
 		ChurnJoins:           s.ChurnJoins,

@@ -86,6 +86,7 @@ type jobManager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
+	jobsPeak int             // len(jobs) high-water mark since jobs was last rebuilt
 	inflight map[uint64]*job // dedupe key -> leader job in queued|running
 	order    []*job          // terminal registered jobs in completion order (TTL GC)
 	seq      int64
@@ -163,6 +164,7 @@ func (m *jobManager) submit(now time.Time, j *job, pollable bool) error {
 		m.seq++
 		j.id = fmt.Sprintf("j-%06d", m.seq)
 		m.jobs[j.id] = j
+		m.jobsPeak = max(m.jobsPeak, len(m.jobs))
 	}
 	return nil
 }
@@ -259,6 +261,12 @@ func (m *jobManager) get(id string) *job {
 	return m.jobs[id]
 }
 
+// jobsShrinkRatio: gcLocked rebuilds the registry map once it holds at
+// most 1/jobsShrinkRatio of its high-water mark. A Go map never releases
+// its buckets, so without the rebuild a burst of pollable jobs would pin
+// the burst's bucket arrays for the life of the process.
+const jobsShrinkRatio = 4
+
 // gcLocked drops terminal jobs whose TTL elapsed. order is append-only in
 // completion order, so expiry is a prefix scan. Callers hold the mutex.
 func (m *jobManager) gcLocked(now time.Time) {
@@ -269,8 +277,16 @@ func (m *jobManager) gcLocked(now time.Time) {
 		}
 		delete(m.jobs, m.order[i].id)
 	}
-	if i > 0 {
-		m.order = append([]*job(nil), m.order[i:]...)
+	if i == 0 {
+		return
+	}
+	m.order = append([]*job(nil), m.order[i:]...)
+	if len(m.jobs)*jobsShrinkRatio <= m.jobsPeak {
+		jobs := make(map[string]*job, len(m.jobs))
+		for id, j := range m.jobs {
+			jobs[id] = j
+		}
+		m.jobs, m.jobsPeak = jobs, len(jobs)
 	}
 }
 

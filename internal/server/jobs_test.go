@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -509,6 +510,69 @@ func TestJobTTLGC(t *testing.T) {
 	if m.get(j.id) != nil {
 		t.Fatal("expired job still pollable after TTL")
 	}
+}
+
+// TestJobRegistryShrinksAfterBurst: once a burst of pollable jobs has
+// expired, the next submit's GC sweep rebuilds the registry map, so the
+// manager's retained heap returns near an empty manager's instead of
+// pinning the burst's buckets.
+func TestJobRegistryShrinksAfterBurst(t *testing.T) {
+	const burst = 50_000
+	t0 := time.Unix(0, 0)
+	retained := func(fill func(m *jobManager)) int64 {
+		with := func() int64 {
+			m := newJobManager(1, time.Second)
+			fill(m)
+			h := liveHeap()
+			runtime.KeepAlive(m)
+			return h
+		}()
+		return with - liveHeap()
+	}
+	// After the burst, and for the baseline, one job submitted past the
+	// burst's TTL stays registered.
+	last := func(m *jobManager) {
+		if err := m.submit(t0.Add(time.Minute), &job{key: 2, rule: gridvo.TVOF}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty := retained(last)
+	afterBurst := retained(func(m *jobManager) {
+		// One leader and burst-1 coalesced followers: every job is
+		// registered but only the leader takes the queue's one slot.
+		lead := &job{key: 1, rule: gridvo.TVOF}
+		for i := 0; i < burst; i++ {
+			j := lead
+			if i > 0 {
+				j = &job{key: 1, rule: gridvo.TVOF}
+			}
+			if err := m.submit(t0, j, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-m.queue
+		m.start(lead, t0)
+		m.finish(lead, t0, &FormResponse{Feasible: true}, 0, "")
+		if got := m.snapshot(1).Live; got != burst {
+			t.Fatalf("%d live jobs after the burst, want %d", got, burst)
+		}
+		last(m)
+		if got := m.snapshot(1).Live; got != 1 {
+			t.Fatalf("%d live jobs after the TTL, want 1", got)
+		}
+	})
+	if afterBurst-empty > 256<<10 {
+		t.Fatalf("manager retains %d bytes after an expired %d-job burst, an empty one %d", afterBurst, burst, empty)
+	}
+}
+
+// liveHeap collects garbage and returns the bytes of live heap.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func jsonBody(t *testing.T, v any) *bytes.Reader {

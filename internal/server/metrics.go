@@ -43,6 +43,7 @@ type Metrics struct {
 		solverNS        atomic.Int64
 		powerIters      atomic.Int64
 		powerItersSaved atomic.Int64
+		reputationHits  atomic.Int64
 		degraded        atomic.Int64
 	}
 
@@ -113,6 +114,7 @@ func (m *Metrics) addEngine(s mechanism.EngineStats) {
 	m.engine.solverNS.Add(int64(s.WallTime))
 	m.engine.powerIters.Add(s.PowerIterations)
 	m.engine.powerItersSaved.Add(s.PowerIterationsSaved)
+	m.engine.reputationHits.Add(s.ReputationHits)
 	m.engine.degraded.Add(s.Degraded)
 }
 
@@ -130,6 +132,7 @@ func (m *Metrics) EngineTotals() mechanism.EngineStats {
 		WallTime:             time.Duration(m.engine.solverNS.Load()),
 		PowerIterations:      m.engine.powerIters.Load(),
 		PowerIterationsSaved: m.engine.powerItersSaved.Load(),
+		ReputationHits:       m.engine.reputationHits.Load(),
 		Degraded:             m.engine.degraded.Load(),
 	}
 }

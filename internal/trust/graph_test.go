@@ -2,6 +2,7 @@ package trust
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,41 @@ func TestSubgraphDropsEvictedEdges(t *testing.T) {
 	}
 	if sub.Label(2) != "d" {
 		t.Fatalf("label remap wrong: %q", sub.Label(2))
+	}
+}
+
+// TestSubgraphComposes: inducing the graph on a member set directly
+// equals the chain of one-eviction Subgraph calls that reaches it, in
+// every matrix format — the identity that lets the mechanism loop build
+// a round's trust graph lazily from the full graph.
+func TestSubgraphComposes(t *testing.T) {
+	for _, f := range []Format{FormatAuto, FormatDense, FormatCSR} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			rng := xrand.New(seed)
+			g := ErdosRenyi(rng.Split("g"), 12, 0.4)
+			g.SetFormat(f)
+			members := make([]int, g.N())
+			for i := range members {
+				members[i] = i
+			}
+			chained := g.Clone()
+			for len(members) > 1 {
+				drop := rng.IntN(len(members))
+				var keepLocal []int
+				for i := range members {
+					if i != drop {
+						keepLocal = append(keepLocal, i)
+					}
+				}
+				chained = chained.Subgraph(keepLocal)
+				members = append(members[:drop], members[drop+1:]...)
+				direct := g.Subgraph(members)
+				if direct.MatrixFormat() != chained.MatrixFormat() || direct.N() != chained.N() ||
+					!reflect.DeepEqual(direct.Edges(), chained.Edges()) {
+					t.Fatalf("format %v seed %d members %v: direct %v, chained %v", f, seed, members, direct, chained)
+				}
+			}
+		}
 	}
 }
 
