@@ -22,11 +22,11 @@
 // configured by the same serving flags) at -rps for -duration, prints the
 // sustained RPS and latency percentiles, and exits non-zero if the -slo-p99
 // bound (or -require-zero-dropped) is violated. -loadgen-mode selects the
-// path: "sync", "jobs", or "both" (writes a benchjson-compatible
-// comparison to -out, e.g. BENCH_PR7.json).
+// path: "sync" (/v1/vo/form) or "jobs" (/v1/jobs); -out also writes the
+// JSON report.
 //
 //	gridvod -loadgen -loadgen-mode jobs -rps 50 -duration 5s -slo-p99 2s
-//	gridvod -loadgen -loadgen-mode both -rps 200 -duration 10s -out BENCH_PR7.json
+//	gridvod -loadgen -loadgen-mode sync -rps 200 -duration 10s -out sync.json
 package main
 
 import (
@@ -66,7 +66,7 @@ func main() {
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 
 		genOn    = fs.Bool("loadgen", false, "run as a load generator instead of a daemon")
-		genMode  = fs.String("loadgen-mode", "sync", "load-generator path: sync, jobs, or both (comparison report)")
+		genMode  = fs.String("loadgen-mode", "sync", "load-generator path: sync or jobs")
 		genURL   = fs.String("target", "", "load-generator target base URL (empty = self-serve in-process)")
 		genRPS   = fs.Float64("rps", 50, "load-generator offered request rate")
 		genDur   = fs.Duration("duration", 5*time.Second, "load-generator run length")
@@ -113,7 +113,7 @@ func main() {
 			Seed:               *genSeed,
 			SLOp99:             *genSLO,
 			RequireZeroDropped: *genZero,
-		}, *genMode, *genOut))
+		}, *genOut))
 	}
 
 	srv := server.New(cfg)
@@ -150,44 +150,21 @@ func main() {
 
 // runLoadgen executes the -loadgen path and returns the process exit code:
 // 0 when every asserted SLO held, 1 on violations, 2 on setup errors.
-func runLoadgen(opts loadgen.Options, mode, out string) int {
+func runLoadgen(opts loadgen.Options, out string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var report any
-	var violations []string
-	switch mode {
-	case "both":
-		opts.BaseURL = "" // Compare self-serves a fresh instance per side
-		rep, err := loadgen.Compare(ctx, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
-			return 2
-		}
-		report = rep
-		violations = append(rep.Sync.SLOViolations, rep.Jobs.SLOViolations...)
-		fmt.Printf("loadgen both: sync %.1f rps (p99 %.1fms) vs jobs %.1f rps (p99 %.1fms), ratio %.2fx, deduped %d\n",
-			rep.Sync.SustainedRPS, rep.Sync.P99MS,
-			rep.Jobs.SustainedRPS, rep.Jobs.P99MS,
-			rep.RPSRatio, rep.Jobs.DedupedDelta)
-	case "sync", "jobs":
-		res, err := loadgen.Run(ctx, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
-			return 2
-		}
-		report = res
-		violations = res.SLOViolations
-		fmt.Printf("loadgen %s: offered %d, completed %d (%.1f rps sustained), shed %d, failed %d, dropped %d, p50 %.1fms p95 %.1fms p99 %.1fms\n",
-			res.Mode, res.Offered, res.Completed, res.SustainedRPS,
-			res.Shed, res.Failed, res.Dropped, res.P50MS, res.P95MS, res.P99MS)
-	default:
-		fmt.Fprintf(os.Stderr, "gridvod -loadgen: unknown -loadgen-mode %q (want sync, jobs, or both)\n", mode)
+	res, err := loadgen.Run(ctx, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
 		return 2
 	}
+	fmt.Printf("loadgen %s: offered %d, completed %d (%.1f rps sustained), shed %d, failed %d, dropped %d, p50 %.1fms p95 %.1fms p99 %.1fms\n",
+		res.Mode, res.Offered, res.Completed, res.SustainedRPS,
+		res.Shed, res.Failed, res.Dropped, res.P50MS, res.P95MS, res.P99MS)
 
 	if out != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
+		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gridvod -loadgen:", err)
 			return 2
@@ -199,8 +176,8 @@ func runLoadgen(opts loadgen.Options, mode, out string) int {
 		}
 		fmt.Printf("report written to %s\n", out)
 	}
-	if len(violations) > 0 {
-		for _, v := range violations {
+	if len(res.SLOViolations) > 0 {
+		for _, v := range res.SLOViolations {
 			fmt.Fprintln(os.Stderr, "SLO violation:", v)
 		}
 		return 1

@@ -1,6 +1,7 @@
 package reputation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,7 +16,11 @@ import (
 // would fork by format.
 
 func formatPair(seed uint64, n int, p float64) (*trust.Graph, *trust.Graph) {
-	g := trust.ErdosRenyi(xrand.New(seed), n, p)
+	return formatTwins(trust.ErdosRenyi(xrand.New(seed), n, p))
+}
+
+// formatTwins returns a Dense and a CSR copy of g.
+func formatTwins(g *trust.Graph) (*trust.Graph, *trust.Graph) {
 	gd, gc := g.Clone(), g.Clone()
 	gd.SetFormat(trust.FormatDense)
 	gc.SetFormat(trust.FormatCSR)
@@ -35,6 +40,28 @@ func assertBitsEqual(t *testing.T, label string, a, b []float64) {
 	}
 }
 
+// assertGlobalEquivalent solves the Dense and CSR twins with opts and
+// requires bitwise-identical scores and diagnostics.
+func assertGlobalEquivalent(t *testing.T, label string, gd, gc *trust.Graph, opts Options) {
+	t.Helper()
+	xd, dd, errD := Global(gd, opts)
+	xc, dc, errC := Global(gc, opts)
+	if (errD == nil) != (errC == nil) {
+		t.Fatalf("%s: error mismatch %v vs %v", label, errD, errC)
+	}
+	if errD != nil {
+		return
+	}
+	assertBitsEqual(t, label+" scores", xd, xc)
+	if dd.Iterations != dc.Iterations || dd.Converged != dc.Converged ||
+		math.Float64bits(dd.Delta) != math.Float64bits(dc.Delta) {
+		t.Fatalf("%s: diagnostics %+v vs %+v", label, dd, dc)
+	}
+	if len(dd.Dangling) != len(dc.Dangling) {
+		t.Fatalf("%s: dangling %v vs %v", label, dd.Dangling, dc.Dangling)
+	}
+}
+
 func TestGlobalFormatEquivalence(t *testing.T) {
 	for _, n := range []int{3, 8, 16, 40} {
 		for _, p := range []float64{0.05, 0.2, 0.5, 0.9} {
@@ -45,24 +72,24 @@ func TestGlobalFormatEquivalence(t *testing.T) {
 				{DanglingUniform: true, Damping: 0.15},
 				{DanglingUniform: true, Stop: StopAvgRelErr},
 			} {
-				xd, dd, errD := Global(gd, opts)
-				xc, dc, errC := Global(gc, opts)
-				if (errD == nil) != (errC == nil) {
-					t.Fatalf("n=%d p=%v: error mismatch %v vs %v", n, p, errD, errC)
-				}
-				if errD != nil {
-					continue
-				}
-				assertBitsEqual(t, "scores", xd, xc)
-				if dd.Iterations != dc.Iterations || dd.Converged != dc.Converged ||
-					math.Float64bits(dd.Delta) != math.Float64bits(dc.Delta) {
-					t.Fatalf("n=%d p=%v: diagnostics %+v vs %+v", n, p, dd, dc)
-				}
-				if len(dd.Dangling) != len(dc.Dangling) {
-					t.Fatalf("n=%d p=%v: dangling %v vs %v", n, p, dd.Dangling, dc.Dangling)
-				}
+				assertGlobalEquivalent(t, fmt.Sprintf("n=%d p=%v", n, p), gd, gc, opts)
 			}
 		}
+	}
+}
+
+// TestGlobalFormatEquivalenceSparse extends the bitwise check to the
+// sparse Erdős–Rényi graphs of BENCH_PR6's dense-twin points (n:degree
+// 256:8, 1024:16 and 4096:16, seed 42): sizes where CSR is the resolved
+// format and the dense matrix is still small enough to materialize.
+func TestGlobalFormatEquivalenceSparse(t *testing.T) {
+	for _, pt := range []struct {
+		n      int
+		degree float64
+	}{{256, 8}, {1024, 16}, {4096, 16}} {
+		g := trust.SparseErdosRenyi(xrand.New(42).Split(fmt.Sprintf("sparse-%d", pt.n)), pt.n, pt.degree)
+		gd, gc := formatTwins(g)
+		assertGlobalEquivalent(t, fmt.Sprintf("n=%d degree=%v", pt.n, pt.degree), gd, gc, DefaultOptions())
 	}
 }
 

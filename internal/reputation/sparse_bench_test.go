@@ -10,8 +10,9 @@ import (
 // These benchmarks track the sparse-substrate scaling claim (DESIGN §13):
 // a power-method solve on a mean-degree-20 Erdős–Rényi graph is O(nnz)
 // per iteration and a million nodes converge in single-digit seconds.
-// cmd/benchjson -sparse runs the full measured sweep; these are the quick
-// in-tree checks.
+// BENCH_PR6.json records the full sweep to a million nodes; these are the
+// in-tree timings, and TestGlobalFormatEquivalenceSparse checks the
+// dense-vs-CSR bitwise identity on its sizes that have a dense twin.
 
 func benchGlobalCSR(b *testing.B, n int) {
 	g := trust.SparseErdosRenyi(xrand.New(42), n, 20)

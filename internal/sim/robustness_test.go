@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -105,50 +106,45 @@ func TestRobustnessChurnReformsWarm(t *testing.T) {
 // TestRobustnessMonotoneDegradation pins, at fixed seeds, that each attack
 // class's degradation metric is monotone non-decreasing in attack strength
 // and strictly positive at the top of the ladder — the BENCH_PR9 claim in
-// test form. Everything is deterministic, so this is a golden property.
+// test form. Everything is deterministic, so this is a golden property:
+// each rung's honest and adversarial fingerprints must also equal the ones
+// BENCH_PR9.json recorded for the same seed, sizes and ladders.
 func TestRobustnessMonotoneDegradation(t *testing.T) {
-	metric := func(opts RobustnessOptions) float64 {
-		rep, err := RobustnessSweep(context.Background(), robustConfig(9), opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Per-class metric: attacks that smuggle bad identities into the
-		// VO (collusion cliques, sybil twins, whitewashed re-entries) are
-		// measured by infiltration; attacks that push honest members out
-		// (slander, churn) by displacement.
-		if !opts.Attack.IsZero() && opts.Attack.Class != adversary.ClassSlander {
-			return rep.MeanInfiltration
-		}
-		return rep.MeanDisplacement
+	// honest is every rung's honest-world fingerprint: the attack
+	// transforms only the adversarial world.
+	const honest = "e36f96ae7faea923"
+	type rung struct {
+		opts        RobustnessOptions
+		adversarial string // expected adversarial fingerprint
 	}
 	ladders := []struct {
-		name string
-		runs []RobustnessOptions
+		name  string
+		rungs []rung
 	}{
-		{"collusion", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 6}},
+		{"collusion", []rung{
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 0}}, honest},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 3}}, "03041f6aff73923e"},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassCollusion, Size: 6}}, "ab36d0aed734f0a3"},
 		}},
-		{"sybil", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 6}},
+		{"sybil", []rung{
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 0}}, honest},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 3}}, "eeff51a1e6524a97"},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassSybil, Size: 6}}, "9fbe8dc187570f20"},
 		}},
-		{"whitewash", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 6}},
+		{"whitewash", []rung{
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 0}}, honest},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 3}}, "f9404eb8073e6b81"},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassWhitewash, Size: 6}}, "74a73a210711fb9e"},
 		}},
-		{"slander", []RobustnessOptions{
-			{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.3}},
-			{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.8}},
+		{"slander", []rung{
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0}}, honest},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.3}}, "75d3085e87407f62"},
+			{RobustnessOptions{Attack: &adversary.Spec{Class: adversary.ClassSlander, Size: 4, Rate: 0.8}}, "ac99065cf54f16f8"},
 		}},
-		{"churn", []RobustnessOptions{
-			{Churn: &adversary.ChurnSpec{LeaveRate: 0, JoinRate: 0.1}},
-			{Churn: &adversary.ChurnSpec{LeaveRate: 0.2, JoinRate: 0.1}},
-			{Churn: &adversary.ChurnSpec{LeaveRate: 0.35, JoinRate: 0.1}},
+		{"churn", []rung{
+			{RobustnessOptions{Churn: &adversary.ChurnSpec{LeaveRate: 0, JoinRate: 0.1}}, honest},
+			{RobustnessOptions{Churn: &adversary.ChurnSpec{LeaveRate: 0.2, JoinRate: 0.1}}, "5ac7e5b02f8e8f23"},
+			{RobustnessOptions{Churn: &adversary.ChurnSpec{LeaveRate: 0.35, JoinRate: 0.1}}, "e1ea53eed09f1495"},
 		}},
 	}
 	for _, lad := range ladders {
@@ -156,8 +152,25 @@ func TestRobustnessMonotoneDegradation(t *testing.T) {
 		t.Run(lad.name, func(t *testing.T) {
 			prev := -1.0
 			var last float64
-			for i, opts := range lad.runs {
-				m := metric(opts)
+			for i, r := range lad.rungs {
+				rep, err := RobustnessSweep(context.Background(), robustConfig(9), r.opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%016x", rep.HonestFingerprint); got != honest {
+					t.Errorf("rung %d: honest fingerprint %s, BENCH_PR9 has %s", i, got, honest)
+				}
+				if got := fmt.Sprintf("%016x", rep.AdversarialFingerprint); got != r.adversarial {
+					t.Errorf("rung %d: adversarial fingerprint %s, BENCH_PR9 has %s", i, got, r.adversarial)
+				}
+				// Per-class metric: attacks that smuggle bad identities
+				// into the VO (collusion cliques, sybil twins, whitewashed
+				// re-entries) are measured by infiltration; attacks that
+				// push honest members out (slander, churn) by displacement.
+				m := rep.MeanDisplacement
+				if !r.opts.Attack.IsZero() && r.opts.Attack.Class != adversary.ClassSlander {
+					m = rep.MeanInfiltration
+				}
 				if m < prev {
 					t.Fatalf("rung %d: metric %v < previous %v — degradation not monotone", i, m, prev)
 				}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"gridvo/internal/assign"
 	"gridvo/internal/mechanism"
 	"gridvo/internal/swf"
 	"gridvo/internal/xrand"
@@ -290,5 +292,59 @@ func TestScenarioTightness(t *testing.T) {
 	}
 	if tight > 1e6 {
 		t.Fatalf("implausible tightness %v", tight)
+	}
+}
+
+// TestWarmStartSelectsSameVOs pins the warm-start selection identity on a
+// Table I sweep: seeding each IP solve from its parent coalition's
+// solution changes how much search is needed, never which VO TVOF picks.
+// Evictions are reputation-driven, so VO sizes and average reputations
+// match the NoWarmStart sweep at every point; a seed can improve a
+// truncated search's payoff but never worsen it.
+func TestWarmStartSelectsSameVOs(t *testing.T) {
+	sweep := func(noWarmStart bool) *SweepResult {
+		t.Helper()
+		cfg := DefaultConfig(7)
+		cfg.ProgramSizes = []int{32, 64}
+		cfg.Repetitions = 2
+		cfg.TraceJobs = 500
+		cfg.Mechanism.NoWarmStart = noWarmStart
+		env, err := NewEnv(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.Sweep(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	warm, cold := sweep(false), sweep(true)
+	if len(warm.Points) != 2 || len(cold.Points) != 2 {
+		t.Fatalf("point counts %d warm, %d cold; want 2", len(warm.Points), len(cold.Points))
+	}
+	for i := range warm.Points {
+		w, c := warm.Points[i], cold.Points[i]
+		if w.Size != c.Size || len(w.TVOFSize) != 2 || len(c.TVOFSize) != 2 {
+			t.Fatalf("point %d shape: warm n=%d×%d, cold n=%d×%d", i, w.Size, len(w.TVOFSize), c.Size, len(c.TVOFSize))
+		}
+		for r := range w.TVOFSize {
+			if w.TVOFSize[r] != c.TVOFSize[r] {
+				t.Errorf("n=%d rep=%d: VO size %v warm vs %v cold", w.Size, r, w.TVOFSize[r], c.TVOFSize[r])
+			}
+			if math.Abs(w.TVOFRep[r]-c.TVOFRep[r]) > 1e-9 {
+				t.Errorf("n=%d rep=%d: VO reputation %v warm vs %v cold", w.Size, r, w.TVOFRep[r], c.TVOFRep[r])
+			}
+			if w.TVOFPayoff[r] < c.TVOFPayoff[r]-assign.Eps {
+				t.Errorf("n=%d rep=%d: warm payoff %v worse than cold %v", w.Size, r, w.TVOFPayoff[r], c.TVOFPayoff[r])
+			}
+		}
+	}
+	if warm.Stats.WarmStarts == 0 || cold.Stats.WarmStarts != 0 {
+		t.Errorf("warm starts: %d on the warm sweep (want > 0), %d on the cold one (want 0)",
+			warm.Stats.WarmStarts, cold.Stats.WarmStarts)
+	}
+	if warm.Stats.Nodes > cold.Stats.Nodes {
+		t.Errorf("warm sweep explored %d nodes, more than the cold sweep's %d", warm.Stats.Nodes, cold.Stats.Nodes)
 	}
 }

@@ -13,8 +13,7 @@
 // Two modes exercise the two serving paths: "sync" POSTs /v1/vo/form and
 // measures request latency; "jobs" POSTs /v1/jobs and long-polls
 // GET /v1/jobs/{id}?wait= until the job is terminal, measuring
-// submit-to-terminal latency. Compare runs both against identical
-// scenario mixes and reports the throughput ratio (BENCH_PR7.json).
+// submit-to-terminal latency.
 //
 // As a measurement harness, this package is inherently wall-clock bound;
 // the clock reads are confined to Run and its lane helpers and marked
@@ -27,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -121,8 +121,7 @@ type Result struct {
 	Completed int64 `json:"completed"`
 	Shed      int64 `json:"shed"`
 	Failed    int64 `json:"failed"`
-	// SustainedRPS is Completed / wall time — the number the ISSUE's
-	// sync-vs-jobs comparison is about.
+	// SustainedRPS is Completed / wall time.
 	SustainedRPS float64 `json:"sustained_rps"`
 	// Latency percentiles over completed requests, milliseconds. In jobs
 	// mode the latency is submit-to-terminal (queue + solve + poll).
@@ -505,69 +504,14 @@ func (r *runner) metrics() *server.MetricsSnapshot {
 	return &snap
 }
 
-// pctMS returns the p-quantile of sorted latencies, in milliseconds.
+// pctMS returns the nearest-rank p-quantile (0 < p ≤ 1) of sorted
+// latencies, in milliseconds: the smallest sample with at least p·n
+// samples at or below it, sorted[⌈p·n⌉−1]. With 30 samples p99 is the
+// slowest request, so an SLO gate on p99 sees it.
 func pctMS(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	i := int(p * float64(len(sorted)-1))
-	return float64(sorted[i]) / float64(time.Millisecond)
-}
-
-// Report is the benchjson-compatible sync-vs-jobs comparison document
-// (BENCH_PR7.json): both modes run against identical scenario mixes and
-// offered load; RPSRatio is the headline jobs-over-sync throughput gain.
-type Report struct {
-	Tool string `json:"tool"`
-	Seed uint64 `json:"seed"`
-	// Workers / QueueDepth / Shards record the job-tier configuration the
-	// comparison ran with.
-	Workers    int     `json:"workers"`
-	QueueDepth int     `json:"queue_depth"`
-	Shards     int     `json:"shards"`
-	Sync       *Result `json:"sync"`
-	Jobs       *Result `json:"jobs"`
-	// RPSRatio is jobs sustained RPS / sync sustained RPS (>1 means the
-	// async tier sustained more of the same offered load).
-	RPSRatio float64 `json:"rps_ratio"`
-	Note     string  `json:"note,omitempty"`
-}
-
-// Compare runs the same offered load through the sync path and the job
-// tier and reports both. opts.Mode is ignored; BaseURL must be empty
-// (each side gets its own fresh self-served instance, so neither inherits
-// the other's warm engine cache).
-func Compare(ctx context.Context, opts Options) (*Report, error) {
-	if opts.BaseURL != "" {
-		return nil, fmt.Errorf("Compare self-serves; BaseURL must be empty")
-	}
-	opts.fillDefaults()
-	syncOpts := opts
-	syncOpts.Mode = "sync"
-	syncRes, err := Run(ctx, syncOpts)
-	if err != nil {
-		return nil, fmt.Errorf("sync side: %w", err)
-	}
-	jobOpts := opts
-	jobOpts.Mode = "jobs"
-	jobRes, err := Run(ctx, jobOpts)
-	if err != nil {
-		return nil, fmt.Errorf("jobs side: %w", err)
-	}
-	cfg := opts.Server
-	rep := &Report{
-		Tool:       "loadgen",
-		Seed:       opts.Seed,
-		Workers:    cfg.JobWorkers,
-		QueueDepth: cfg.JobQueueDepth,
-		Shards:     cfg.EngineCacheShards,
-		Sync:       syncRes,
-		Jobs:       jobRes,
-		Note: "same offered load and scenario mix per side; fresh server per side " +
-			"(no shared engine cache); jobs latency is submit-to-terminal",
-	}
-	if syncRes.SustainedRPS > 0 {
-		rep.RPSRatio = jobRes.SustainedRPS / syncRes.SustainedRPS
-	}
-	return rep, nil
+	return float64(sorted[int(math.Ceil(p*float64(n)))-1]) / float64(time.Millisecond)
 }

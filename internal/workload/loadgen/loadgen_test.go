@@ -54,7 +54,31 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(context.Background(), Options{Mode: "sync"}); err == nil {
 		t.Fatal("zero rps/duration accepted")
 	}
-	if _, err := Compare(context.Background(), Options{BaseURL: "http://x", RPS: 1, Duration: time.Second}); err == nil {
-		t.Fatal("Compare with BaseURL accepted")
+}
+
+// TestPctMSNearestRank pins the nearest-rank percentile sorted[⌈p·n⌉−1]
+// on latencies 1..n ms: with n = 30, p99 must be the slowest sample.
+func TestPctMSNearestRank(t *testing.T) {
+	cases := []struct {
+		n    int
+		p    float64
+		want float64
+	}{
+		{1, 0.50, 1}, {1, 0.95, 1}, {1, 0.99, 1},
+		{10, 0.50, 5}, {10, 0.95, 10}, {10, 0.99, 10},
+		{30, 0.50, 15}, {30, 0.95, 29}, {30, 0.99, 30},
+		{1000, 0.50, 500}, {1000, 0.95, 950}, {1000, 0.99, 990},
+	}
+	for _, tc := range cases {
+		sorted := make([]time.Duration, tc.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i+1) * time.Millisecond
+		}
+		if got := pctMS(sorted, tc.p); got != tc.want {
+			t.Errorf("n=%d p=%v: pctMS = %v ms, want %v ms", tc.n, tc.p, got, tc.want)
+		}
+	}
+	if got := pctMS(nil, 0.99); got != 0 {
+		t.Errorf("empty: pctMS = %v, want 0", got)
 	}
 }
